@@ -5,16 +5,21 @@ must return *identical* results — same ``dp_period``, same allocation,
 same ``effective_period``, same reachable-state count — as the
 kept-for-reference recursive implementation
 (:func:`repro.algorithms.madpipe_dp_reference.madpipe_dp_reference`),
-across randomized chains, platforms, targets and grids.  Likewise the
-parallel experiment harness must reproduce the serial results, and the
+across randomized chains, platforms, targets and grids — including
+Hypothesis-drawn instances and probes that share one warm workspace.
+Its pruning counters must match a per-candidate pure-Python count.
+Likewise the parallel experiment harness must reproduce the serial results, and the
 JSONL result cache must round-trip and migrate the legacy format.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.madpipe_dp import Discretization, algorithm1, madpipe_dp
 from repro.algorithms.madpipe_dp_reference import madpipe_dp_reference
@@ -23,6 +28,7 @@ from repro.experiments import ResultCache, load_results, run_grid, save_results
 from repro.models import random_chain, uniform_chain
 
 INF = float("inf")
+EPS = 1e-9
 COARSE = Discretization.coarse()
 
 
@@ -130,6 +136,150 @@ class TestGoldenEquivalence:
         a1 = algorithm1(chain, platform, iterations=3, grid=COARSE)
         assert a1.states > 0
         assert a1.wall_time_s > 0
+
+
+def python_prune_counts(chain, platform, target, grid, period_cap, allow_special):
+    """``(states, pruned_cap, pruned_mem)`` of ``MadPipe-DP(T̂)`` by a plain
+    walk of the reachable state graph, one count per rejected
+    ``(state, k, processor)`` candidate: a candidate over the period cap
+    is cap-pruned, one under the cap that does not fit in memory is
+    memory-pruned.  Transitions follow the naive reference formulas."""
+    L, M, beta = chain.L, platform.memory, platform.bandwidth
+    t_max = chain.total_compute()
+    t_step = t_max / (grid.n_t - 1)
+    m_step = M / (grid.n_m - 1)
+    v_step = (t_max + chain.total_comm(beta)) / (grid.n_v - 1)
+    cumU, cumW = chain._cum_u.tolist(), chain._cum_w.tolist()
+    cumA, act = chain._cum_a_in.tolist(), chain._act.tolist()
+
+    def ceil(x):
+        return math.ceil(x - 1e-9)
+
+    def mem(k, l, g):
+        m = 3.0 * (cumW[l] - cumW[k - 1]) + g * (cumA[l] - cumA[k - 1])
+        if k > 1:
+            m += 2.0 * act[k - 1]
+        if l < L:
+            m += 2.0 * act[l]
+        return m
+
+    def oplus(x, y):
+        cx = ceil(x / target)
+        return x + y if cx == ceil((x + y) / target) else target * cx + y
+
+    root = (L, platform.n_procs - 1 if allow_special else platform.n_procs, 0, 0, 0)
+    seen, todo = {root}, [root]
+    pruned_cap = pruned_mem = 0
+    while todo:
+        l, p, it, im, iv = todo.pop()
+        if p == 0:
+            continue
+        t_P, m_P, V = it * t_step, im * m_step, iv * v_step
+        for k in range(l, 0, -1):
+            U = cumU[l] - cumU[k - 1]
+            comm = 2.0 * act[k - 1] / beta if k > 1 else 0.0
+            g = max(1, ceil((V + U) / target))
+            iv2 = min(ceil(oplus(oplus(V, U), comm) / v_step), grid.n_v - 1)
+            kids = []
+            if U >= period_cap:
+                pruned_cap += 1
+            elif mem(k, l, g) > M + EPS:
+                pruned_mem += 1
+            else:
+                kids.append((k - 1, p - 1, it, im, iv2))
+            if allow_special:
+                t2, m2 = t_P + U, m_P + mem(k, l, g - 1)
+                if t2 >= period_cap:
+                    pruned_cap += 1
+                elif m2 > M + EPS:
+                    pruned_mem += 1
+                else:
+                    it2 = min(ceil(t2 / t_step), grid.n_t - 1)
+                    im2 = min(ceil(m2 / m_step), grid.n_m - 1)
+                    kids.append((k - 1, p, it2, im2, iv2))
+            for kid in kids:
+                if kid[0] > 0 and kid not in seen:
+                    seen.add(kid)
+                    todo.append(kid)
+    return len(seen), pruned_cap, pruned_mem
+
+
+class TestPruningCounters:
+    @pytest.mark.parametrize("allow_special", [True, False])
+    def test_counts_per_candidate(self, allow_special):
+        chain = random_chain(10, seed=4, decay=0.2)
+        platform = Platform.of(3, 1.0, 12)
+        u = chain.total_compute()
+        cap = 0.6 * u
+        res = madpipe_dp(
+            chain, platform, u / 2, grid=COARSE, period_cap=cap,
+            allow_special=allow_special,
+        )
+        expected = python_prune_counts(
+            chain, platform, u / 2, COARSE, cap, allow_special
+        )
+        assert (res.states, res.pruned_cap, res.pruned_mem) == expected
+        assert res.pruned_cap > 0 and res.pruned_mem > 0
+
+
+@st.composite
+def dp_instances(draw):
+    chain = random_chain(
+        draw(st.integers(1, 10)),
+        seed=draw(st.integers(0, 2**16)),
+        decay=draw(st.sampled_from([0.0, 0.1, 0.3])),
+    )
+    platform = Platform.of(
+        draw(st.integers(1, 5)), draw(st.sampled_from([0.3, 0.6, 1.0, 2.0, 8.0])), 12
+    )
+    grid = Discretization(
+        draw(st.integers(2, 9)), draw(st.integers(2, 5)), draw(st.integers(2, 9))
+    )
+    return chain, platform, grid
+
+
+class TestGoldenProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dp_instances(),
+        st.floats(0.1, 1.2),
+        st.one_of(st.just(INF), st.floats(0.3, 1.5)),
+        st.booleans(),
+    )
+    def test_matches_reference(self, instance, target, cap, allow_special):
+        chain, platform, grid = instance
+        u = chain.total_compute()
+        kw = dict(grid=grid, period_cap=cap * u, allow_special=allow_special)
+        assert_identical(
+            madpipe_dp(chain, platform, target * u, **kw),
+            madpipe_dp_reference(chain, platform, target * u, **kw),
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        dp_instances(),
+        st.lists(
+            st.tuples(st.floats(0.1, 1.2), st.sampled_from([0.3, 1.0, 4.0])),
+            min_size=2,
+            max_size=4,
+        ),
+        st.booleans(),
+    )
+    def test_shared_workspace_matches_cold(self, instance, probes, allow_special):
+        """Probes at different targets and memories share one workspace
+        (as a warm search does) and still equal cold evaluations."""
+        chain, platform, grid = instance
+        u = chain.total_compute()
+        workspace: dict = {}
+        for target, memory_gb in probes:
+            plat = Platform.of(platform.n_procs, memory_gb, 12)
+            kw = dict(grid=grid, period_cap=u, allow_special=allow_special)
+            warm = madpipe_dp(chain, plat, target * u, workspace=workspace, **kw)
+            cold = madpipe_dp(chain, plat, target * u, **kw)
+            assert_identical(warm, cold)
+            assert (warm.pruned_cap, warm.pruned_mem) == (
+                cold.pruned_cap, cold.pruned_mem
+            )
 
 
 class TestParallelHarness:
