@@ -174,7 +174,25 @@ def build_pattern(
         raise ValueError("1F1B* requires a contiguous allocation")
     items = extended_items(chain, platform, allocation)
     groups = assign_groups(items, period)
+    procs = allocation.procs
 
+    def backward(pattern: PeriodicPattern, item: Item, t: float, shift: int) -> float:
+        kind = "B" if item.kind == "stage" else "CB"
+        pattern.add(Op(kind, item.index, _resource(item, procs), t, item.u_b, shift))
+        return item.u_b
+
+    return _lay_out_vs(allocation, period, items, groups, backward)
+
+
+def _lay_out_vs(allocation: Allocation, period: float, items: list[Item],
+                groups: list[int], backward) -> PeriodicPattern:
+    """The pattern that schedules each group of ``items`` as a "V" (both
+    contiguous families): forwards in chain order back-to-back, then
+    backwards in reverse order at shift ``g − 1``; the next group's
+    forwards connect right after this group's last forward.
+    ``backward(pattern, item, t, shift)`` adds the item's backward op(s)
+    starting at ``t`` and returns how far they advance the backward chain.
+    """
     pattern = PeriodicPattern(allocation=allocation, period=period)
     procs = allocation.procs
     t = 0.0
@@ -185,7 +203,6 @@ def build_pattern(
         j = i
         while j < len(items) and groups[j] == g:
             j += 1
-        # forwards of items[i:j]
         tf = t
         for item in items[i:j]:
             kind = "F" if item.kind == "stage" else "CF"
@@ -193,15 +210,10 @@ def build_pattern(
                 Op(kind, item.index, _resource(item, procs), tf, item.u_f, 0)
             )
             tf += item.u_f
-        # backwards immediately after, reverse order, shift g-1
         tb = tf
         for item in reversed(items[i:j]):
-            kind = "B" if item.kind == "stage" else "CB"
-            pattern.add(
-                Op(kind, item.index, _resource(item, procs), tb, item.u_b, g - 1)
-            )
-            tb += item.u_b
-        t = tf  # next group's forwards connect right after our last forward
+            tb += backward(pattern, item, tb, g - 1)
+        t = tf
         i = j
     pattern.normalize()
     return pattern
@@ -213,10 +225,9 @@ def _resource(item: Item, procs: tuple[int, ...]) -> tuple:
     return link(procs[item.index], procs[item.index + 1])
 
 
-# small per-size caches for the hot enumeration loops (best_contiguous
+# small per-size cache for the hot enumeration loops (best_contiguous
 # calls min_feasible_period thousands of times on tiny item counts)
 _TRI_CACHE: dict[int, np.ndarray] = {}
-_ARANGE_CACHE: dict[int, np.ndarray] = {}
 
 
 def _upper_triangle(n: int) -> np.ndarray:
@@ -227,17 +238,10 @@ def _upper_triangle(n: int) -> np.ndarray:
     return tri
 
 
-def _arange(n: int) -> np.ndarray:
-    r = _ARANGE_CACHE.get(n)
-    if r is None:
-        r = np.arange(n)
-        _ARANGE_CACHE[n] = r
-    return r
-
-
 @dataclass
 class OneF1BResult:
-    """Outcome of the minimal-feasible-period search."""
+    """Outcome of a contiguous minimal-feasible-period search, either
+    family (``zero_bubble.ZeroBubbleResult`` is this class)."""
 
     period: float
     pattern: PeriodicPattern | None
@@ -258,21 +262,40 @@ def min_feasible_period(
 
     ``memory_headroom`` derates the capacity the schedule must fit into
     (see :func:`repro.core.memory.effective_capacity`); the reported
-    per-GPU ``memory`` usage is unaffected.
+    per-GPU ``memory`` usage is unaffected.  Instrumented and memoized by
+    :func:`_period_search` under the ``onef1b`` family name.
+    """
+    return _period_search(
+        "onef1b", _min_feasible_period, build_pattern, chain, platform, partitioning,
+        build=build, memory_headroom=memory_headroom,
+    )
 
-    Instrumented: emits a ``onef1b.period_search`` span and
-    ``onef1b.searches`` counter when tracing/metrics are active.  This
-    is the innermost loop of every contiguous planner, so the disabled
-    path is guarded with a single context-variable read before any span
-    machinery runs.
 
-    Under an active warm-start context the search is memoized by exact
-    instance key — the function is a pure deterministic map from
-    (chain, platform, partitioning, build, headroom) to its result, so
-    a hit is bit-identical to recomputing (MadPipe's fallback and
-    certification paths re-run the same search several times per
-    instance, and neighboring sweep instances repeat it across the
-    memory axis whenever the partitioning coincides).
+def _period_search(
+    family: str,
+    kernel,
+    builder,
+    chain: Chain,
+    platform: Platform,
+    partitioning: Partitioning,
+    *,
+    build: bool,
+    memory_headroom: float,
+    memo_tag: tuple = (),
+) -> OneF1BResult | None:
+    """Run one contiguous family's uninstrumented search on the
+    headroom-derated platform: ``kernel(chain, platform, partitioning)``
+    returns ``(period, stage groups, per-stage memory)`` or ``None``, and
+    ``builder(chain, platform, allocation, period)`` constructs the
+    pattern when ``build`` is set.
+
+    Emits a ``<family>.period_search`` span and ``<family>.searches`` /
+    ``.feasible`` counters only when tracing/metrics are active (this is
+    the innermost loop of every contiguous planner).  Under an active
+    warm-start context the search is memoized by exact instance key — it
+    is a pure deterministic map, so a hit (``warm.<family>_hits``) is
+    bit-identical to recomputing; ``memo_tag`` keeps other families'
+    keys apart from 1F1B\\*'s.
     """
     warm = active_warm()
     memo_key = None
@@ -281,68 +304,63 @@ def min_feasible_period(
             chain_fingerprint(chain), platform.n_procs, platform.memory,
             platform.bandwidth, memory_headroom,
             tuple((s.start, s.end) for s in partitioning.stages), build,
-        )
+        ) + memo_tag
         hit = warm.onef1b.hit(memo_key)
         if hit is not None:
-            obs_inc = active_metrics()
-            if obs_inc is not None:
-                obs_inc.inc("warm.onef1b_hits")
+            reg = active_metrics()
+            if reg is not None:
+                reg.inc(f"warm.{family}_hits")
             return hit[0]
     platform = platform.with_headroom(memory_headroom)
+
+    def search() -> OneF1BResult | None:
+        found = kernel(chain, platform, partitioning)
+        if found is None:
+            return None
+        T, stage_groups, mem = found
+        pattern = (
+            builder(chain, platform, Allocation.contiguous(partitioning), T)
+            if build
+            else None
+        )
+        # Allocation.contiguous puts stage i on processor i, so per-stage
+        # memory is per-processor memory
+        return OneF1BResult(
+            period=T,
+            pattern=pattern,
+            groups={i: int(g) for i, g in enumerate(stage_groups)},
+            memory={i: float(m) for i, m in enumerate(mem)},
+        )
+
     tr = active_trace()
     reg = active_metrics()
-    if tr is None and reg is None:
-        res = _min_feasible_period(chain, platform, partitioning, build=build)
-        if memo_key is not None:
-            warm.onef1b.put(memo_key, (res,))
-        return res
     if reg is not None:
-        reg.inc("onef1b.searches")
+        reg.inc(f"{family}.searches")
     if tr is None:
-        res = _min_feasible_period(chain, platform, partitioning, build=build)
+        res = search()
     else:
         with tr.span(
-            "onef1b.period_search", n_stages=partitioning.n_stages, build=build
+            f"{family}.period_search", n_stages=partitioning.n_stages, build=build
         ) as sp:
-            res = _min_feasible_period(chain, platform, partitioning, build=build)
+            res = search()
             sp.set(
                 feasible=res is not None,
                 period=res.period if res is not None else None,
             )
     if res is not None and reg is not None:
-        reg.inc("onef1b.feasible")
+        reg.inc(f"{family}.feasible")
     if memo_key is not None:
         warm.onef1b.put(memo_key, (res,))
     return res
 
 
-def _min_feasible_period(
-    chain: Chain,
-    platform: Platform,
-    partitioning: Partitioning,
-    *,
-    build: bool = True,
-) -> OneF1BResult | None:
-    """The uninstrumented search; see :func:`min_feasible_period`.
-
-    Candidate periods are the group-structure breakpoints: sums of item
-    loads over contiguous item ranges (grouping only changes there), plus
-    the bottleneck lower bound.  Increasing T can only merge groups, so
-    memory usage is non-increasing in T and the scan stops at the first
-    feasible candidate.
-
-    Vectorized: stage loads and memory terms come from the chain's cached
-    prefix arrays (O(1) per stage), candidates from one masked 2-D
-    ``cumsum``, group assignment from the batched kernel across all
-    candidates, and memory feasibility from one array comparison — all
-    with float arithmetic identical to
-    :func:`repro.algorithms.onef1b_reference.min_feasible_period_reference`.
-
-    Two early exits bracket the batched scan, both justified by memory
-    monotonicity (greedy domination: raising ``T`` can only merge groups,
-    so every stage's group count — hence every GPU's memory — is
-    non-increasing in ``T``): if the smallest candidate fits, it is the
-    answer; if the largest does not, none does.
+def _stage_arrays(chain: Chain, platform: Platform, partitioning: Partitioning):
+    """Per-stage arrays of a contiguous partitioning, the prologue both
+    families' period searches share: ``(ends, u_f, u_b, comm, w3, abar,
+    buf)`` — the stage loads, ``c_f + c_b`` of the cut boundary after
+    each stage but the last, and the memory terms ``3W``, ``ā`` and the
+    communication buffers.  Read from the chain's cached prefix arrays
+    (O(1) per stage) in the float order of ``MemoryBreakdown``.
     """
     if partitioning.n_stages > platform.n_procs:
         raise ValueError("more stages than processors")
@@ -353,17 +371,53 @@ def _min_feasible_period(
     starts = np.empty(n_stages, dtype=np.int64)
     starts[0] = 1
     starts[1:] = ends[:-1] + 1
+    half = chain.activation_values(ends[:-1]) / platform.bandwidth
+    buf = np.where(starts > 1, 2.0 * chain.activation_values(starts - 1), 0.0)
+    buf = buf + np.where(ends < chain.L, 2.0 * chain.activation_values(ends), 0.0)
+    return (
+        ends,
+        chain.u_f_ranges(starts, ends),
+        chain.u_b_ranges(starts, ends),
+        half + half,
+        3.0 * chain.weight_ranges(starts, ends),
+        chain.stored_activation_ranges(starts, ends),
+        buf,
+    )
+
+
+def _min_feasible_period(chain: Chain, platform: Platform, partitioning: Partitioning):
+    """The uninstrumented search; see :func:`min_feasible_period` and
+    :func:`_period_search`.
+
+    Candidate periods are the group-structure breakpoints: sums of item
+    loads over contiguous item ranges (grouping only changes there), plus
+    the bottleneck lower bound.  Increasing T can only merge groups, so
+    memory usage is non-increasing in T and the scan stops at the first
+    feasible candidate.
+
+    Vectorized: stage loads and memory terms come from
+    :func:`_stage_arrays`, candidates from one masked 2-D ``cumsum``,
+    group assignment from the batched kernel across all candidates, and
+    memory feasibility from one array comparison — all with float
+    arithmetic identical to
+    :func:`repro.algorithms.onef1b_reference.min_feasible_period_reference`.
+
+    Two early exits bracket the batched scan, both justified by memory
+    monotonicity (greedy domination: raising ``T`` can only merge groups,
+    so every stage's group count — hence every GPU's memory — is
+    non-increasing in ``T``): if the smallest candidate fits, it is the
+    answer; if the largest does not, none does.
+    """
+    ends, u_f, u_b, comm, w3, abar, buf = _stage_arrays(chain, platform, partitioning)
+    n_stages = ends.size
 
     # item loads, interleaved [stage 0, comm 0, stage 1, …, stage S−1]:
     # a contiguous allocation has a comm boundary after every stage but the
     # last, matching extended_items order
-    u_f = chain.u_f_ranges(starts, ends)
-    u_b = chain.u_b_ranges(starts, ends)
-    half = chain.activation_values(ends[:-1]) / platform.bandwidth
     n_items = 2 * n_stages - 1
     loads = np.empty(n_items)
     loads[0::2] = u_f + u_b
-    loads[1::2] = half + half
+    loads[1::2] = comm
     lower = float(loads.max())
 
     # candidate periods: contiguous range sums ≥ lower (± atol), plus
@@ -389,12 +443,8 @@ def _min_feasible_period(
             f"exceeds period {float(periods[0]):.4g}"
         )
 
-    # memory terms of MemoryBreakdown, as arrays over stages; the total is
-    # evaluated in the breakdown's float order: (weights + activations) + buffers
-    w3 = 3.0 * chain.weight_ranges(starts, ends)
-    abar = chain.stored_activation_ranges(starts, ends)
-    buf = np.where(starts > 1, 2.0 * chain.activation_values(starts - 1), 0.0)
-    buf = buf + np.where(ends < chain.L, 2.0 * chain.activation_values(ends), 0.0)
+    # memory is evaluated in the breakdown's float order:
+    # (weights + activations) + buffers
     cap = platform.memory * (1 + MEMORY_FIT_RTOL)
 
     # scalar single-candidate probe (same IEEE-double ops as the kernel)
@@ -441,21 +491,5 @@ def _min_feasible_period(
                 j = int(hits[0])
                 k, stage_groups = 1 + j, [int(g) for g in rows[j]]
 
-    T = float(periods[k])
-    # Allocation.contiguous puts stage i on processor i, so per-stage
-    # memory is per-processor memory (bincount is the general aggregation,
-    # an identity here)
     gs_arr = np.asarray(stage_groups, dtype=np.int64)
-    procs = _arange(n_stages)
-    by_proc = np.bincount(procs, weights=(w3 + gs_arr * abar) + buf, minlength=n_stages)
-    pattern = (
-        build_pattern(chain, platform, Allocation.contiguous(partitioning), T)
-        if build
-        else None
-    )
-    return OneF1BResult(
-        period=T,
-        pattern=pattern,
-        groups={i: int(g) for i, g in enumerate(stage_groups)},
-        memory={int(p): float(by_proc[p]) for p in procs},
-    )
+    return float(periods[k]), stage_groups, (w3 + gs_arr * abar) + buf

@@ -27,9 +27,11 @@ follows the 1F1B\\* argument (cross-group backward slack is
 passes the full analytic validator and the discrete-event certification
 gate downstream.
 
-The minimal-period search mirrors :func:`repro.algorithms.onef1b.
-min_feasible_period`: candidate periods are the greedy grouping's
-breakpoints — contiguous V-load range sums ``S(a, b)`` plus
+The minimal-period search runs through the same instrumented, memoized
+wrapper and per-stage array prologue as :func:`repro.algorithms.onef1b.
+min_feasible_period`, and its result is the same record
+(``ZeroBubbleResult`` is ``OneF1BResult``).  Candidate periods are the
+greedy grouping's breakpoints — contiguous V-load range sums ``S(a, b)`` plus
 ``S(a, b) + d_W_a`` for stage-anchored ranges — and per-GPU memory
 ``(3W + g·ā) + buffers + ĝ`` is non-increasing in ``T``, so a binary
 search over the sorted candidates finds the first feasible one.
@@ -37,29 +39,25 @@ search over the sorted candidates finds the first feasible one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from ..core.chain import Chain
 from ..core.partition import Allocation, Partitioning
-from ..core.pattern import (
-    B,
-    CB,
-    CF,
-    F,
-    Op,
-    PeriodicPattern,
-    W,
-    gpu,
-    link,
-    split_backward,
-)
+from ..core.pattern import B, CB, Op, PeriodicPattern, W, gpu, split_backward
 from ..core.platform import Platform
-from ..obs.metrics import active_metrics
-from ..obs.trace import active_trace
-from ..warmstart import active_warm, chain_fingerprint
-from .onef1b import GROUP_FIT_RTOL, MEMORY_FIT_RTOL, extended_items
+from .onef1b import (
+    GROUP_FIT_RTOL,
+    MEMORY_FIT_RTOL,
+    OneF1BResult,
+    _lay_out_vs,
+    _period_search,
+    _resource,
+    _stage_arrays,
+    _upper_triangle,
+    extended_items,
+)
 
 __all__ = [
     "SPLIT_FRACTION",
@@ -72,30 +70,6 @@ __all__ = [
 #: Default grad-input share of the backward: ``d_B = 0.5·u_b`` (the 2BP
 #: measurement — grad-input and grad-weight costs are roughly equal).
 SPLIT_FRACTION = 0.5
-
-
-def _split_items(
-    chain: Chain, platform: Platform, allocation: Allocation, split_fraction: float
-):
-    """Per-item V-loads and trailing grad-weight durations.
-
-    Returns ``(items, v_loads, d_ws)`` where ``v_loads[i]`` is the
-    item's contribution to the group's critical V (``u_f + d_B`` for
-    stages, the full ``c_f + c_b`` for comm boundaries) and ``d_ws[i]``
-    the grad-weight tail (0 for comm items).
-    """
-    items = extended_items(chain, platform, allocation)
-    v_loads: list[float] = []
-    d_ws: list[float] = []
-    for it in items:
-        if it.kind == "stage":
-            d_b, d_w = split_backward(it.u_b, split_fraction)
-            v_loads.append(it.u_f + d_b)
-            d_ws.append(d_w)
-        else:
-            v_loads.append(it.u_f + it.u_b)
-            d_ws.append(0.0)
-    return items, v_loads, d_ws
 
 
 def assign_groups_zb(
@@ -111,8 +85,6 @@ def assign_groups_zb(
     both as a singleton makes the period infeasible (``ValueError``).
     """
     n = len(v_loads)
-    if n == 0:
-        return []
     thresh = period * (1 + GROUP_FIT_RTOL)
     groups = [0] * n
     g, acc = 1, 0.0
@@ -148,60 +120,36 @@ def build_pattern_zb(
     """
     if not allocation.is_contiguous():
         raise ValueError("zero-bubble construction requires a contiguous allocation")
-    items, v_loads, d_ws = _split_items(chain, platform, allocation, split_fraction)
-    groups = assign_groups_zb(v_loads, d_ws, period)
-
-    pattern = PeriodicPattern(allocation=allocation, period=period)
+    items = extended_items(chain, platform, allocation)
+    # (d_B, d_W) per item: a comm boundary's whole backward is on the V
+    splits = [
+        split_backward(it.u_b, split_fraction) if it.kind == "stage" else (it.u_b, 0.0)
+        for it in items
+    ]
+    groups = assign_groups_zb(
+        [it.u_f + d_b for it, (d_b, _) in zip(items, splits)],
+        [d_w for _, d_w in splits],
+        period,
+    )
     procs = allocation.procs
-    t = 0.0
-    i = 0
-    while i < len(items):
-        g = groups[i]
-        j = i
-        while j < len(items) and groups[j] == g:
-            j += 1
-        # forwards of items[i:j], chain order, back-to-back
-        tf = t
-        for item in items[i:j]:
-            kind = F if item.kind == "stage" else CF
-            pattern.add(
-                Op(kind, item.index, _resource(item, procs), tf, item.u_f, 0)
-            )
-            tf += item.u_f
-        # grad-input backwards immediately after, reverse order, shift g−1;
-        # each stage's grad-weight op follows its B on the same GPU
-        tb = tf
-        for item in reversed(items[i:j]):
-            if item.kind == "stage":
-                d_b, d_w = split_backward(item.u_b, split_fraction)
-                res = gpu(procs[item.index])
-                pattern.add(Op(B, item.index, res, tb, d_b, g - 1))
-                pattern.add(Op(W, item.index, res, tb + d_b, d_w, g - 1))
-                tb += d_b
-            else:
-                res = link(procs[item.index], procs[item.index + 1])
-                pattern.add(Op(CB, item.index, res, tb, item.u_b, g - 1))
-                tb += item.u_b
-        t = tf
-        i = j
-    pattern.normalize()
-    return pattern
+
+    def backward(pattern: PeriodicPattern, item, t: float, shift: int) -> float:
+        # grad-input backwards run the V; each stage's grad-weight op
+        # follows its B on the same GPU
+        if item.kind != "stage":
+            pattern.add(Op(CB, item.index, _resource(item, procs), t, item.u_b, shift))
+            return item.u_b
+        d_b, d_w = split_backward(item.u_b, split_fraction)
+        res = gpu(procs[item.index])
+        pattern.add(Op(B, item.index, res, t, d_b, shift))
+        pattern.add(Op(W, item.index, res, t + d_b, d_w, shift))
+        return d_b
+
+    return _lay_out_vs(allocation, period, items, groups, backward)
 
 
-def _resource(item, procs: tuple[int, ...]) -> tuple:
-    if item.kind == "stage":
-        return gpu(procs[item.index])
-    return link(procs[item.index], procs[item.index + 1])
-
-
-@dataclass
-class ZeroBubbleResult:
-    """Outcome of the zero-bubble minimal-feasible-period search."""
-
-    period: float
-    pattern: PeriodicPattern | None
-    groups: dict[int, int]  # stage index -> group number
-    memory: dict[int, float]  # processor -> bytes used (analytic)
+#: The zero-bubble search returns the same four fields as 1F1B\\*'s.
+ZeroBubbleResult = OneF1BResult
 
 
 def min_feasible_period_zb(
@@ -216,60 +164,18 @@ def min_feasible_period_zb(
     """Smallest period at which the zero-bubble split-backward schedule of
     ``partitioning`` fits in memory on every GPU; ``None`` if none works.
 
-    Mirrors :func:`repro.algorithms.onef1b.min_feasible_period`:
-    instrumented with a ``zero_bubble.period_search`` span and counters,
-    and memoized by exact instance key under an active warm-start
-    context (keys carry a family tag, so they never collide with 1F1B\\*
-    entries).
+    Shares :func:`repro.algorithms.onef1b.min_feasible_period`'s
+    instrumented, memoized wrapper under the ``zero_bubble`` family name
+    (``zero_bubble.*`` span and counters, family-tagged memo keys).
     """
-    warm = active_warm()
-    memo_key = None
-    if warm is not None:
-        memo_key = (
-            chain_fingerprint(chain), platform.n_procs, platform.memory,
-            platform.bandwidth, memory_headroom,
-            tuple((s.start, s.end) for s in partitioning.stages), build,
-            "zb", split_fraction,
-        )
-        hit = warm.onef1b.hit(memo_key)
-        if hit is not None:
-            reg = active_metrics()
-            if reg is not None:
-                reg.inc("warm.zero_bubble_hits")
-            return hit[0]
-    platform = platform.with_headroom(memory_headroom)
-    tr = active_trace()
-    reg = active_metrics()
-    if tr is None and reg is None:
-        res = _min_feasible_period_zb(
-            chain, platform, partitioning, build=build, split_fraction=split_fraction
-        )
-        if memo_key is not None:
-            warm.onef1b.put(memo_key, (res,))
-        return res
-    if reg is not None:
-        reg.inc("zero_bubble.searches")
-    if tr is None:
-        res = _min_feasible_period_zb(
-            chain, platform, partitioning, build=build, split_fraction=split_fraction
-        )
-    else:
-        with tr.span(
-            "zero_bubble.period_search", n_stages=partitioning.n_stages, build=build
-        ) as sp:
-            res = _min_feasible_period_zb(
-                chain, platform, partitioning,
-                build=build, split_fraction=split_fraction,
-            )
-            sp.set(
-                feasible=res is not None,
-                period=res.period if res is not None else None,
-            )
-    if res is not None and reg is not None:
-        reg.inc("zero_bubble.feasible")
-    if memo_key is not None:
-        warm.onef1b.put(memo_key, (res,))
-    return res
+    return _period_search(
+        "zero_bubble",
+        partial(_min_feasible_period_zb, split_fraction=split_fraction),
+        partial(build_pattern_zb, split_fraction=split_fraction),
+        chain, platform, partitioning,
+        build=build, memory_headroom=memory_headroom,
+        memo_tag=("zb", split_fraction),
+    )
 
 
 def _min_feasible_period_zb(
@@ -277,9 +183,8 @@ def _min_feasible_period_zb(
     platform: Platform,
     partitioning: Partitioning,
     *,
-    build: bool,
     split_fraction: float,
-) -> ZeroBubbleResult | None:
+):
     """The uninstrumented search; see :func:`min_feasible_period_zb`.
 
     Candidate periods are the grouping breakpoints: contiguous V-load
@@ -291,35 +196,22 @@ def _min_feasible_period_zb(
     non-increasing in ``T`` — a binary search over the sorted candidates
     finds the smallest feasible one.
     """
-    if partitioning.n_stages > platform.n_procs:
-        raise ValueError("more stages than processors")
-    n_stages = partitioning.n_stages
-    ends = np.fromiter(
-        (s.end for s in partitioning.stages), dtype=np.int64, count=n_stages
-    )
-    starts = np.empty(n_stages, dtype=np.int64)
-    starts[0] = 1
-    starts[1:] = ends[:-1] + 1
+    ends, u_f, u_b, comm, w3, abar, buf = _stage_arrays(chain, platform, partitioning)
+    n_stages = ends.size
 
     # item arrays, interleaved [stage 0, comm 0, stage 1, …, stage S−1]
-    u_f = chain.u_f_ranges(starts, ends)
-    u_b = chain.u_b_ranges(starts, ends)
-    half = chain.activation_values(ends[:-1]) / platform.bandwidth
     n_items = 2 * n_stages - 1
     d_b_stage = split_fraction * u_b
-    d_w_stage = u_b - d_b_stage
     v = np.empty(n_items)
     v[0::2] = u_f + d_b_stage
-    v[1::2] = half + half
+    v[1::2] = comm
     d_w = np.zeros(n_items)
-    d_w[0::2] = d_w_stage
-    full = np.empty(n_items)
-    full[0::2] = u_f + u_b
-    full[1::2] = half + half
-    lower = float(full.max())
+    d_w[0::2] = u_b - d_b_stage
+    # bottleneck lower bound: the largest whole item load
+    lower = float(np.concatenate((u_f + u_b, comm)).max())
 
     # candidate periods: V-load range sums and their +d_W_a variants
-    tri = np.arange(n_items) >= np.arange(n_items)[:, None]
+    tri = _upper_triangle(n_items)
     sums = np.cumsum(np.where(tri, v, 0.0), axis=1)
     with_w = sums + d_w[:, None]
     cands = np.concatenate((sums[tri], with_w[tri], [lower]))
@@ -328,10 +220,6 @@ def _min_feasible_period_zb(
         periods = np.concatenate(([lower], periods))
 
     # memory terms per stage: (3W + g·ā) + buffers + ĝ, ĝ = a_end
-    w3 = 3.0 * chain.weight_ranges(starts, ends)
-    abar = chain.stored_activation_ranges(starts, ends)
-    buf = np.where(starts > 1, 2.0 * chain.activation_values(starts - 1), 0.0)
-    buf = buf + np.where(ends < chain.L, 2.0 * chain.activation_values(ends), 0.0)
     ghat = chain.activation_values(ends)
     cap = platform.memory * (1 + MEMORY_FIT_RTOL)
 
@@ -354,7 +242,6 @@ def _min_feasible_period_zb(
 
     m = periods.size
     first = probe(float(periods[0]))
-    k = stage_groups = None
     if first is not None and first[0]:
         k, stage_groups = 0, first[1]
     else:
@@ -370,22 +257,6 @@ def _min_feasible_period_zb(
                 hi, (k, stage_groups) = mid, (mid, got[1])
             else:
                 lo = mid
-        k = hi
 
-    T = float(periods[k])
     gs_arr = np.asarray(stage_groups, dtype=np.int64)
-    mem = (w3 + gs_arr * abar) + buf + ghat
-    pattern = (
-        build_pattern_zb(
-            chain, platform, Allocation.contiguous(partitioning), T,
-            split_fraction=split_fraction,
-        )
-        if build
-        else None
-    )
-    return ZeroBubbleResult(
-        period=T,
-        pattern=pattern,
-        groups={i: int(g) for i, g in enumerate(stage_groups)},
-        memory={i: float(mem[i]) for i in range(n_stages)},
-    )
+    return float(periods[k]), stage_groups, (w3 + gs_arr * abar) + buf + ghat

@@ -31,6 +31,7 @@ from pathlib import Path
 
 from . import obs
 from .algorithms import SCHEDULE_FAMILIES, Discretization, madpipe, pipedream
+from .algorithms.madpipe import FAMILY_NAMES
 from .core.platform import Platform
 from .core.serialize import save_pattern
 from .experiments.scenarios import network_builders
@@ -66,7 +67,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_registry_stats(snap: dict, ilp_status: str | None) -> None:
+#: Counter prefix of each family's contiguous period search.
+_SEARCH_COUNTERS = {"1f1b": "onef1b", "zero_bubble": "zero_bubble"}
+
+
+def _print_registry_stats(
+    snap: dict, ilp_status: str | None, schedule_family: str = "1f1b"
+) -> None:
     """Render ``--stats`` from the metrics registry's counter snapshot."""
     if snap.get("dp.searches"):
         print(
@@ -89,17 +96,19 @@ def _print_registry_stats(snap: dict, ilp_status: str | None) -> None:
         if ilp_status is not None:
             line += f", search status: {ilp_status}"
         print(line)
-    if snap.get("onef1b.searches"):
-        print(
-            f"1F1B*: {snap.get('onef1b.searches', 0)} period searches, "
-            f"{snap.get('onef1b.feasible', 0)} feasible"
-        )
+    for family, prefix in _SEARCH_COUNTERS.items():
+        if snap.get(f"{prefix}.searches"):
+            print(
+                f"{FAMILY_NAMES[family]}: {snap[f'{prefix}.searches']} period searches, "
+                f"{snap.get(f'{prefix}.feasible', 0)} feasible"
+            )
     if snap.get("certify.checks"):
         print(
             f"certification: {snap.get('certify.checks', 0)} checks, "
             f"{snap.get('certify.failures', 0)} failed, "
             f"{snap.get('certify.quarantined', 0)} plans quarantined, "
-            f"{snap.get('certify.fallbacks', 0)} replaced by the 1F1B* fallback"
+            f"{snap.get('certify.fallbacks', 0)} replaced by the "
+            f"{FAMILY_NAMES[schedule_family]} fallback"
         )
 
 
@@ -145,6 +154,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         _print_registry_stats(
             registry.snapshot(),
             mp.ilp.status if mp is not None and mp.ilp is not None else None,
+            args.schedule_family,
         )
         if mp is not None:
             print(f"result status: {mp.status}")

@@ -9,7 +9,7 @@ solid lines), plus a ``status`` recording how the instance ended:
     a certified schedule with no solver-budget trouble;
 ``degraded``
     a certified schedule, but the phase-2 MILP exhausted its time budget
-    somewhere along the way (the period carries the 1F1B\\* fallback or
+    somewhere along the way (the period carries the contiguous fallback or
     an uncertified search outcome — valid, possibly improvable);
 ``solver_timeout``
     no schedule, and the failure is a time-limit hit rather than proven

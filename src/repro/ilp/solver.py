@@ -33,7 +33,7 @@ limit, so the period may be improvable) and ``timeout`` (no schedule
 found, but infeasibility is **not** proven) record that the solver
 budget, not the mathematics, decided — callers such as
 :func:`repro.algorithms.madpipe.madpipe` use this to fall back to a
-certified 1F1B\\* schedule instead of silently reporting infeasible.
+certified contiguous schedule instead of silently reporting infeasible.
 The pre-skeleton bisection search is preserved verbatim in
 :mod:`repro.ilp.solver_reference` for benchmarking.
 """

@@ -12,7 +12,7 @@ violation report on failure), threads ``certify.*`` counters and a
 deterministically.
 
 It never raises: callers branch on ``Certificate.ok`` and decide what
-graceful degradation means for them (quarantine + 1F1B* fallback in
+graceful degradation means for them (quarantine + contiguous fallback in
 :func:`repro.algorithms.madpipe.madpipe`, probe rejection in the MILP
 search, an error status in the sweep harness).
 """
@@ -44,7 +44,7 @@ class Certificate:
     ``mode`` records how the certificate was obtained: ``verified`` (the
     plan's own pattern passed the discrete-event gate), ``fallback`` (the
     original pattern was quarantined and this certificate belongs to the
-    1F1B* replacement), ``skipped`` (nothing to verify — fill-drain
+    contiguous replacement), ``skipped`` (nothing to verify — fill-drain
     schedules like GPipe have no periodic pattern, and infeasible plans
     have no schedule at all; ``ok`` then only states that nothing
     *invalid* was emitted).

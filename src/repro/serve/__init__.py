@@ -20,7 +20,7 @@ service* under concurrent, partially-repeated traffic:
   admission (shedding with a typed :class:`OverloadedError` +
   retry-after hint), per-(algorithm, schedule_family)
   :class:`CircuitBreaker` state machines, and degraded-mode planning
-  (the certified contiguous 1F1B* fallback, ``served_from="degraded"``,
+  (the certified contiguous fallback, ``served_from="degraded"``,
   never cached into the primary store tier).
 
 Entry points: :func:`repro.api.serve` (facade constructor) and the

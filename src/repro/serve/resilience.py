@@ -27,9 +27,10 @@ degraded, never wrongly or unboundedly late.**  Three rings:
 * degraded-mode planning (:func:`solve_degraded`) — when the deadline
   budget is exhausted, the breaker is open, or the real solve failed
   terminally with ``degraded_fallback`` enabled, the service answers
-  with the *certified contiguous 1F1B\\* fallback*: MadPipe's contiguous
-  restriction (``allow_special=False``, the same cheap plan the PR 5
-  quarantine falls back to), run through the full certification gate.
+  with the *certified contiguous fallback* in the request's schedule
+  family: MadPipe's contiguous restriction (``allow_special=False``,
+  the same cheap plan MadPipe's quarantine falls back to), run through
+  the full certification gate.
   The reply is marked ``served_from="degraded"`` with the real
   certificate attached; degraded payloads are cached only in a
   memory-tier LRU, never the primary store, so a recovered service
@@ -406,8 +407,8 @@ def degraded_opts(opts: Mapping[str, Any]) -> dict[str, Any]:
 
 def solve_degraded(payload: tuple) -> tuple[dict, dict]:
     """Degraded-solve entry point (thread or process; mirrors
-    ``service._solve_in_worker``): the certified contiguous 1F1B\\*
-    fallback plan for the request, with ``status`` escalated to
+    ``service._solve_in_worker``): the certified contiguous fallback
+    plan for the request, with ``status`` escalated to
     ``"degraded"`` so no client can mistake it for the full-quality
     answer.  Returns ``(plan payload, counter snapshot)``.
     """

@@ -9,6 +9,7 @@ visible counters, never silently return the rejected pattern.
 
 from __future__ import annotations
 
+import importlib
 import json
 
 import pytest
@@ -248,6 +249,117 @@ class TestQuarantine:
         assert "plans quarantined" in out and "1 plans quarantined" in out
         assert "replaced by the 1F1B* fallback" in out
         assert "certificate: ok [fallback]" in out
+
+
+    @pytest.mark.faultinject
+    def test_zero_bubble_quarantine_counters_in_cli_stats(
+        self, chain, tmp_path, capsys
+    ):
+        profile = tmp_path / "toy.json"
+        save_chain(chain, profile)
+        faults.install(
+            [Fault(site="sim_verify", action="fail", key="madpipe:", times=1)],
+            tmp_path,
+        )
+        rc = cli_main(
+            [
+                "schedule", str(profile),
+                "-p", "4", "-m", "4", "-b", str(100 / 1024),
+                "--grid", "coarse", "--iterations", "6", "--stats",
+                "--schedule-family", "zero_bubble",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "zero-bubble: 2 period searches, 2 feasible" in out
+        assert "1 replaced by the zero-bubble fallback" in out
+        assert "replaced by the certified zero-bubble contiguous fallback" in out
+        assert "certificate: ok [fallback]" in out
+        assert "1F1B*" not in out
+
+
+class TestFallbackLadder:
+    @pytest.fixture
+    def dp_calls(self, monkeypatch):
+        """The ``allow_special`` flag of every phase-1 DP run madpipe makes."""
+        module = importlib.import_module("repro.algorithms.madpipe")
+        real = module.algorithm1
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs["allow_special"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "algorithm1", spy)
+        return calls
+
+    def test_clean_plan_runs_phase1_then_contiguous_dp(self, chain, plat, dp_calls):
+        res = madpipe(chain, plat, iterations=6)
+        assert res.certificate.ok
+        assert dp_calls == [True, False]
+
+    @pytest.mark.faultinject
+    def test_contiguous_dp_runs_once_when_nothing_certifies(
+        self, chain, plat, tmp_path, dp_calls
+    ):
+        """The contiguous candidate and the certification gate share one
+        ``algorithm1(allow_special=False)`` run."""
+        faults.install(
+            [Fault(site="sim_verify", action="fail", key="madpipe", times=-1)],
+            tmp_path,
+        )
+        res = madpipe(chain, plat, iterations=6)
+        assert res.status == "error"
+        assert dp_calls == [True, False]
+
+    @pytest.mark.faultinject
+    def test_contiguous_phase1_is_reused_by_the_gate(
+        self, chain, plat, tmp_path, dp_calls
+    ):
+        """Without the special processor, phase 1 already is the
+        contiguous-restriction DP: the gate does not run it again."""
+        faults.install(
+            [Fault(site="sim_verify", action="fail", key="madpipe", times=-1)],
+            tmp_path,
+        )
+        res = madpipe(chain, plat, iterations=6, allow_special=False)
+        assert res.status == "error"
+        assert dp_calls == [False]
+
+    @pytest.mark.faultinject
+    def test_gate_stops_at_the_first_certified_rung(
+        self, chain, plat, tmp_path, dp_calls
+    ):
+        """Without the candidate, the gate runs the contiguous DP only if
+        the allocation's own restriction does not certify."""
+        faults.install(
+            [Fault(site="sim_verify", action="fail", key="madpipe:", times=1)],
+            tmp_path,
+        )
+        res = madpipe(chain, plat, iterations=6, contiguous_fallback=False)
+        assert res.certificate.ok and res.certificate.mode == "fallback"
+        assert dp_calls == [True]
+
+    @pytest.mark.faultinject
+    @pytest.mark.parametrize(
+        "key, times, kwargs",
+        [
+            (None, 0, {"allow_special": False}),  # phase 1 already contiguous
+            ("madpipe:", 1, {}),  # quarantined, then a certified fallback
+            ("madpipe", -1, {}),  # nothing certifiable
+        ],
+    )
+    def test_zero_bubble_notes_name_the_family(
+        self, chain, plat, tmp_path, key, times, kwargs
+    ):
+        if key is not None:
+            faults.install(
+                [Fault(site="sim_verify", action="fail", key=key, times=times)],
+                tmp_path,
+            )
+        res = madpipe(chain, plat, iterations=6, schedule_family="zero_bubble", **kwargs)
+        assert any("zero-bubble" in note for note in res.notes)
+        assert not any("1F1B" in note for note in res.notes)
 
 
 class TestCliCertify:

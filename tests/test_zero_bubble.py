@@ -11,11 +11,14 @@ strictly below 1F1B\\*'s.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
 
-from repro import api
+from repro import api, obs, warmstart
+from repro.algorithms import Discretization
+from repro.algorithms.madpipe import madpipe
 from repro.algorithms.onef1b import min_feasible_period
 from repro.algorithms.zero_bubble import (
     SPLIT_FRACTION,
@@ -25,8 +28,10 @@ from repro.algorithms.zero_bubble import (
 from repro.core.partition import Partitioning
 from repro.core.pattern import OP_KINDS, B, F, W, is_comm, is_compute, split_backward
 from repro.core.platform import Platform
+from repro.models import random_chain
 from repro.models.synthetic import uniform_chain
 from repro.sim import verify_pattern
+from repro.testing import Fault, faults
 
 GB = float(2**30)
 
@@ -228,6 +233,101 @@ class TestFamilyDispatch:
         a = api.plan(uniform8, roomy4, iterations=4)
         b = api.plan(uniform8, roomy4, iterations=4, schedule_family="1f1b")
         assert a.to_json() == b.to_json()
+
+
+# ------------------------------------------------------------ fallbacks
+
+
+def has_w_ops(pattern) -> bool:
+    return any(kind == W for kind, _ in pattern.ops)
+
+
+class TestZeroBubbleFallbacks:
+    """MadPipe's certified contiguous fallbacks stay in the zero-bubble
+    family."""
+
+    @pytest.fixture(autouse=True)
+    def _clean_state(self):
+        faults.clear()
+        warmstart.reset_process_context()
+        yield
+        faults.clear()
+        warmstart.reset_process_context()
+
+    @pytest.mark.faultinject
+    def test_ilp_timeout_gives_certified_contiguous_plan(self, tmp_path):
+        chain = random_chain(12, seed=7, decay=0.2)
+        faults.install([Fault(site="milp_solve", action="timeout", times=-1)], tmp_path)
+        res = madpipe(
+            chain, Platform.of(4, 0.8, 12), grid=Discretization.coarse(),
+            iterations=6, ilp_time_limit=15, schedule_family="zero_bubble",
+        )
+        assert res.status == "degraded"
+        assert res.allocation.is_contiguous()
+        assert res.certificate is not None and res.certificate.ok
+        assert has_w_ops(res.pattern)
+
+    @pytest.mark.faultinject
+    def test_quarantine_gives_certified_contiguous_plan(self, tmp_path):
+        mb = float(2**20)
+        chain = uniform_chain(8, u_f=1.0, u_b=2.0, weights=1 * mb, activation=2 * mb)
+        faults.install(
+            [Fault(site="sim_verify", action="fail", key="madpipe:", times=1)],
+            tmp_path,
+        )
+        res = madpipe(
+            chain, Platform(n_procs=4, memory=64 * mb, bandwidth=100 * mb),
+            iterations=6, schedule_family="zero_bubble",
+        )
+        assert res.status == "degraded"
+        assert res.allocation.is_contiguous()
+        assert res.certificate.ok and res.certificate.mode == "fallback"
+        assert has_w_ops(res.pattern)
+
+    def test_warm_sweep_matches_cold(self):
+        spec = ("toy5", 2, (0.25, 0.5, 1.0), 12.0, ("madpipe", "pipedream"))
+        opts = dict(
+            grid=Discretization.coarse(), iterations=4, ilp_time_limit=10.0,
+            schedule_family="zero_bubble",
+        )
+        warm = api.sweep(spec, **opts)
+        warmstart.reset_process_context()
+        cold = api.sweep(spec, warm_start=False, **opts)
+        assert warm.metrics.get("zero_bubble.searches", 0) > 0
+        assert warm.metrics.get("warm.zero_bubble_hits", 0) > 0
+        assert [dataclasses.replace(r, runtime_s=0.0) for r in warm.results] == [
+            dataclasses.replace(r, runtime_s=0.0) for r in cold.results
+        ]
+
+    def test_warm_memo_keeps_families_apart(self):
+        """One warm context answers a 1F1B* and a zero-bubble search of
+        the same partitioning with each family's own result."""
+        chain = uniform_chain(24, name="win24")
+        platform = Platform.of(4, 0.05, 1.0)
+        part = even_partition(24, 4)
+        cold = (
+            min_feasible_period(chain, platform, part),
+            min_feasible_period_zb(chain, platform, part),
+        )
+        registry = obs.MetricsRegistry()
+        with warmstart.activate(True), obs.use_metrics(registry):
+            first = (
+                min_feasible_period(chain, platform, part),
+                min_feasible_period_zb(chain, platform, part),
+            )
+            again = (
+                min_feasible_period(chain, platform, part),
+                min_feasible_period_zb(chain, platform, part),
+            )
+        assert again[0] is first[0] and again[1] is first[1]  # memo hits
+        for warm, ref in zip(first, cold):
+            assert warm.period == ref.period
+            assert warm.groups == ref.groups and warm.memory == ref.memory
+        assert first[1].period < first[0].period
+        assert not has_w_ops(first[0].pattern) and has_w_ops(first[1].pattern)
+        snap = registry.snapshot()
+        assert snap["warm.onef1b_hits"] == 1
+        assert snap["warm.zero_bubble_hits"] == 1
 
 
 # ------------------------------------------------------------ gpt chains
