@@ -4,23 +4,19 @@
 Checks, in order:
 
 1. ``import repro`` succeeds and every name in ``repro.__all__`` (and
-   ``repro.api.__all__``) resolves — deprecated names excepted, which
-   must resolve *with* a ``DeprecationWarning``;
+   ``repro.api.__all__``) resolves;
 2. no ``DeprecationWarning`` escapes the internal modules: planning an
    instance through :func:`repro.api.plan` with warnings promoted to
-   errors must not raise (internal code imports from submodules, never
-   through the deprecated top-level shims);
-3. each deprecated name warns exactly once per process, then resolves
-   silently;
-4. the facade works end to end on a toy instance;
-5. the certification surface is pinned: ``repro.api.certify`` is
+   errors must not raise;
+3. the facade works end to end on a toy instance;
+4. the certification surface is pinned: ``repro.api.certify`` is
    callable, every ``plan()`` result carries an ``ok`` certificate,
    and two same-seed robustness reports are identical;
-6. the serving surface is pinned: ``repro.api.serve`` constructs a
+5. the serving surface is pinned: ``repro.api.serve`` constructs a
    ``PlanService``, a served plan round-trips through
    ``PlanResult.to_json()``/``from_json()`` and matches a direct
    ``api.plan`` call bit for bit;
-7. the resilience surface is pinned: the typed overload errors are
+6. the resilience surface is pinned: the typed overload errors are
    exported, ``ResilienceConfig()`` defaults disable every mechanism,
    ``serve()`` accepts the resilience knobs, and a degraded reply is
    an explicit ``status="degraded"`` with a real certificate.
@@ -54,12 +50,8 @@ def main() -> int:
         import repro
         from repro import api, obs  # noqa: F401
 
-    deprecated = set(repro._DEPRECATED)
-
-    # 1. every public name resolves; deprecated ones only under a filter
+    # 1. every public name resolves
     for name in repro.__all__:
-        if name in deprecated:
-            continue
         assert getattr(repro, name) is not None, f"repro.{name} is None"
     for name in api.__all__:
         assert getattr(api, name) is not None, f"repro.api.{name} is None"
@@ -95,7 +87,7 @@ def main() -> int:
     assert api.PLAN_SCHEMA_VERSION == 2, "plan schema version pin"
     print("api.plan(schedule_family=...) + op-kind registry surface pinned")
 
-    # 2. internal modules must not route through the deprecated shims
+    # 2. planning through the facade emits no DeprecationWarning
     chain = repro.uniform_chain(6)
     platform = repro.Platform.of(2, 8.0, 12.0)
     with warnings.catch_warnings():
@@ -109,7 +101,7 @@ def main() -> int:
     # snapshot before certify() below refreshes the certificate in place
     plan_json = result.to_json()
 
-    # 5. the certification surface: api.certify is callable, plan results
+    # 4. the certification surface: api.certify is callable, plan results
     # carry an ok certificate, same-seed robustness reports are identical
     assert callable(api.certify), "repro.api.certify is not callable"
     cert = result.certificate
@@ -127,7 +119,7 @@ def main() -> int:
         f"{c1.robustness.worst_period_inflation:.4f}, deterministic"
     )
 
-    # 6. the serving surface: api.serve() builds a PlanService whose
+    # 5. the serving surface: api.serve() builds a PlanService whose
     # replies are bit-identical to direct api.plan, and the PlanResult
     # JSON wire format round-trips
     import asyncio
@@ -149,7 +141,7 @@ def main() -> int:
     )
     print("serve ok: served plan bit-identical to api.plan, JSON round-trips")
 
-    # 7. the resilience surface: typed errors exported, the default
+    # 6. the resilience surface: typed errors exported, the default
     # config disables every mechanism (PR 7 behaviour preserved), and a
     # degraded answer is explicit and certified
     for name in ("OverloadedError", "CircuitOpenError",
@@ -194,22 +186,6 @@ def main() -> int:
     assert degraded.result.certificate is not None
     assert degraded.result.certificate.ok, "degraded reply lacks ok certificate"
     print("resilience ok: typed errors, inert defaults, certified degraded reply")
-
-    # 3. deprecated names warn exactly once, then resolve silently
-    for name in sorted(deprecated):
-        repro._DEPRECATION_WARNED.discard(name)
-        repro.__dict__.pop(name, None)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = getattr(repro, name)
-            second = getattr(repro, name)
-        dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(dep) == 1, (
-            f"repro.{name}: expected exactly one DeprecationWarning, "
-            f"got {len(dep)}"
-        )
-        assert first is second is not None
-        print(f"deprecated repro.{name}: warns once, resolves")
 
     print("public API check passed")
     return 0

@@ -40,19 +40,11 @@ from ..ilp.solver import ILPScheduleResult, schedule_allocation
 from ..robust.certify import Certificate, certify_pattern
 from .madpipe_dp import Algorithm1Result, Discretization, algorithm1
 from .onef1b import min_feasible_period
-from .zero_bubble import min_feasible_period_zb
+from .zero_bubble import FAMILY_NAMES, SCHEDULE_FAMILIES, min_feasible_period_zb
 
 __all__ = ["SCHEDULE_FAMILIES", "MadPipeResult", "madpipe"]
 
 INF = float("inf")
-
-#: Supported schedule families: classic monolithic-backward 1F1B and the
-#: zero-bubble B–W split.  The family selects phase 2's contiguous
-#: constructor and the MILP formulation; phase 1's partition search is
-#: family-agnostic.
-SCHEDULE_FAMILIES = ("1f1b", "zero_bubble")
-#: How notes and ``repro schedule --stats`` name each family's schedules.
-FAMILY_NAMES = {"1f1b": "1F1B*", "zero_bubble": "zero-bubble"}
 
 
 @dataclass

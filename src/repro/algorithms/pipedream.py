@@ -10,20 +10,24 @@ the baseline:
 
 * the DP's own (optimistic) period — the dashed line of Fig. 6;
 * the period of a *valid* schedule obtained by running 1F1B\\* on the
-  returned partitioning — the solid line.
+  returned partitioning — the solid line, certified like MadPipe's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import obs
 from ..core.chain import Chain
 from ..core.memory import stage_memory
 from ..core.partition import Partitioning
+from ..core.pattern import PeriodicPattern
 from ..core.platform import Platform
-from .onef1b import OneF1BResult, min_feasible_period
+from ..robust.certify import Certificate, certify_pattern
+from .onef1b import OneF1BResult
+from .zero_bubble import FAMILY_NAMES, contiguous_search
 
 __all__ = ["PipeDreamResult", "pipedream_partition", "pipedream"]
 
@@ -34,22 +38,26 @@ INF = float("inf")
 class PipeDreamResult:
     """PipeDream baseline outcome.
 
-    ``dp_period`` is the DP's optimistic estimate; ``period`` the valid
-    1F1B\\* period of the same partitioning (``inf`` when the DP finds no
-    memory-feasible partitioning at all).
+    ``dp_period`` is the DP's optimistic estimate; ``schedule`` the
+    family's contiguous search on the same partitioning.  The other
+    fields mean what they mean on
+    :class:`~repro.algorithms.madpipe.MadPipeResult`; ``status`` is
+    ``ok``, ``infeasible`` or ``error`` (the pattern failed
+    certification and is withheld: there is no fallback schedule).
     """
 
     partitioning: Partitioning | None
     dp_period: float
-    schedule: OneF1BResult | None
-
-    @property
-    def period(self) -> float:
-        return self.schedule.period if self.schedule is not None else INF
+    schedule: OneF1BResult | None = None
+    pattern: PeriodicPattern | None = None
+    period: float = INF
+    status: str = "infeasible"
+    certificate: Certificate | None = None
+    notes: list[str] = field(default_factory=list)
 
     @property
     def feasible(self) -> bool:
-        return self.partitioning is not None
+        return self.pattern is not None
 
 
 def pipedream_partition(
@@ -109,19 +117,41 @@ def pipedream_partition(
 
 
 def pipedream(
-    chain: Chain, platform: Platform, *, schedule_family: str = "1f1b"
+    chain: Chain,
+    platform: Platform,
+    *,
+    schedule_family: str = "1f1b",
+    certify: bool = True,
 ) -> PipeDreamResult:
     """Full baseline: PipeDream DP, then the family's contiguous
-    construction (1F1B\\* by default) for a valid schedule."""
+    construction (1F1B\\* by default) for a valid schedule, which
+    ``certify=True`` passes through the certification gate."""
+    search = contiguous_search(schedule_family)
     partitioning, dp_period = pipedream_partition(chain, platform)
+    result = PipeDreamResult(partitioning, dp_period)
     if partitioning is None:
-        return PipeDreamResult(None, INF, None)
-    if schedule_family == "zero_bubble":
-        from .zero_bubble import min_feasible_period_zb
-
-        schedule = min_feasible_period_zb(chain, platform, partitioning)
-    elif schedule_family == "1f1b":
-        schedule = min_feasible_period(chain, platform, partitioning)
+        result.notes.append("pipedream found no memory-feasible schedule")
     else:
-        raise ValueError(f"unknown schedule family {schedule_family!r}")
-    return PipeDreamResult(partitioning, dp_period, schedule)
+        result.schedule = search(chain, platform, partitioning)
+        if result.schedule is None:
+            result.notes.append(
+                f"no {FAMILY_NAMES[schedule_family]} schedule fits "
+                "the PipeDream partitioning"
+            )
+        else:
+            result.pattern = result.schedule.pattern
+            result.period = result.schedule.period
+            result.status = "ok"
+    if certify:
+        result.certificate = certify_pattern(
+            chain, platform, result.pattern, source=f"pipedream:{chain.name}"
+        )
+        if not result.certificate.ok:  # quarantine: withhold the pattern
+            obs.inc("certify.quarantined")
+            result.notes.append(
+                "certification failed: " + "; ".join(result.certificate.violations)
+            )
+            result.pattern = None
+            result.period = INF
+            result.status = "error"
+    return result

@@ -57,15 +57,27 @@ from .onef1b import (
     _stage_arrays,
     _upper_triangle,
     extended_items,
+    min_feasible_period,
 )
 
 __all__ = [
+    "FAMILY_NAMES",
+    "SCHEDULE_FAMILIES",
     "SPLIT_FRACTION",
     "ZeroBubbleResult",
     "assign_groups_zb",
     "build_pattern_zb",
+    "contiguous_search",
     "min_feasible_period_zb",
 ]
+
+#: Supported schedule families: classic monolithic-backward 1F1B and the
+#: zero-bubble B–W split.  The family selects phase 2's contiguous
+#: constructor and the MILP formulation; phase 1's partition search is
+#: family-agnostic.
+SCHEDULE_FAMILIES = ("1f1b", "zero_bubble")
+#: How notes and ``repro schedule --stats`` name each family's schedules.
+FAMILY_NAMES = {"1f1b": "1F1B*", "zero_bubble": "zero-bubble"}
 
 #: Default grad-input share of the backward: ``d_B = 0.5·u_b`` (the 2BP
 #: measurement — grad-input and grad-weight costs are roughly equal).
@@ -260,3 +272,12 @@ def _min_feasible_period_zb(
 
     gs_arr = np.asarray(stage_groups, dtype=np.int64)
     return float(periods[k]), stage_groups, (w3 + gs_arr * abar) + buf + ghat
+
+
+def contiguous_search(family: str):
+    """The minimal-period contiguous search of schedule ``family``."""
+    if family not in SCHEDULE_FAMILIES:
+        raise ValueError(
+            f"unknown schedule family {family!r}; expected one of {SCHEDULE_FAMILIES}"
+        )
+    return {"1f1b": min_feasible_period, "zero_bubble": min_feasible_period_zb}[family]

@@ -26,9 +26,9 @@ Everything here delegates to the underlying algorithm modules without
 altering numerics: ``plan(chain, platform, algorithm="madpipe")``
 returns bit-identical periods/patterns to calling
 :func:`repro.algorithms.madpipe.madpipe` directly.  The deeper modules
-remain importable, but their top-level re-exports (``repro.madpipe``,
-``repro.schedule_allocation``) are deprecated in favor of this facade —
-see the deprecation policy in the README.
+remain importable (``from repro.algorithms import madpipe``); the old
+top-level re-exports ``repro.madpipe`` and ``repro.schedule_allocation``
+are gone — see the deprecation policy in the README.
 
 Observability::
 
@@ -285,8 +285,9 @@ def plan(
 def _dispatch(
     chain: Chain, platform: Platform, algorithm: str, family: str, opts: dict
 ) -> PlanResult:
-    if algorithm == "madpipe":
-        res = madpipe(chain, platform, schedule_family=family, **opts)
+    if algorithm != "gpipe":
+        planner = madpipe if algorithm == "madpipe" else pipedream
+        res = planner(chain, platform, schedule_family=family, **opts)
         return PlanResult(
             algorithm=algorithm,
             period=res.period,
@@ -297,35 +298,12 @@ def _dispatch(
             certificate=res.certificate,
             schedule_family=family,
         )
-    do_certify = opts.pop("certify", True)
-    if algorithm == "pipedream":
-        res = pipedream(chain, platform, schedule_family=family, **opts)
-        out = PlanResult(
-            algorithm=algorithm,
-            period=res.period,
-            dp_period=res.dp_period,
-            pattern=res.schedule.pattern if res.schedule is not None else None,
-            status="ok" if res.period != INF else "infeasible",
-            raw=res,
-            schedule_family=family,
-        )
-        if do_certify:
-            out.certificate = certify_pattern(
-                chain, platform, out.pattern, source=f"pipedream:{chain.name}"
-            )
-            if not out.certificate.ok:
-                # PipeDream has no fallback schedule to degrade to: the
-                # quarantined pattern is withheld, never silently returned
-                obs.inc("certify.quarantined")
-                out.pattern = None
-                out.period = INF
-                out.status = "error"
-        return out
     if family != "1f1b":
         raise ValueError(
             f"algorithm 'gpipe' schedules fill-drain rounds, not periodic "
             f"patterns; it does not support schedule_family={family!r}"
         )
+    do_certify = opts.pop("certify", True)
     res = gpipe(chain, platform, **opts)
     out = PlanResult(
         algorithm=algorithm,

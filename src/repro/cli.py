@@ -26,11 +26,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import ExitStack
 from pathlib import Path
 
 from . import obs
-from .algorithms import SCHEDULE_FAMILIES, Discretization, madpipe, pipedream
+from .algorithms import SCHEDULE_FAMILIES, Discretization
 from .algorithms.madpipe import FAMILY_NAMES
 from .core.platform import Platform
 from .core.serialize import save_pattern
@@ -112,78 +111,77 @@ def _print_registry_stats(
         )
 
 
+def _planner_opts(args: argparse.Namespace) -> dict:
+    """The planner keyword arguments of ``schedule``/``certify`` (the
+    DP and MILP knobs exist for MadPipe only)."""
+    if args.algorithm != "madpipe":
+        return {}
+    return dict(
+        grid=getattr(Discretization, args.grid)(),
+        iterations=args.iterations,
+        ilp_time_limit=args.ilp_time_limit,
+        memory_headroom=args.memory_headroom,
+    )
+
+
 def _cmd_schedule(args: argparse.Namespace) -> int:
+    from .api import plan
+
     chain = load_chain(args.profile)
     platform = Platform.of(args.procs, args.memory_gb, args.bandwidth_gbps)
-    registry = obs.MetricsRegistry()
-    trace = obs.Trace(f"schedule:{Path(args.profile).stem}") if args.trace else None
-    with ExitStack() as stack:
-        stack.enter_context(obs.use_metrics(registry))
-        if trace is not None:
-            stack.enter_context(obs.use_trace(trace))
-        if args.algorithm == "pipedream":
-            res = pipedream(chain, platform, schedule_family=args.schedule_family)
-            pattern = res.schedule.pattern if res.feasible else None
-            mp = None
-        else:
-            mp = madpipe(
-                chain,
-                platform,
-                grid=getattr(Discretization, args.grid)(),
-                iterations=args.iterations,
-                ilp_time_limit=args.ilp_time_limit,
-                memory_headroom=args.memory_headroom,
-                schedule_family=args.schedule_family,
-            )
-            pattern = mp.pattern
-    if trace is not None:
-        obs.write_chrome_trace(trace, args.trace)
-        print(f"wrote trace ({len(trace)} spans) to {args.trace}")
+    result = plan(
+        chain,
+        platform,
+        algorithm=args.algorithm,
+        schedule_family=args.schedule_family,
+        trace=obs.Trace(f"schedule:{Path(args.profile).stem}") if args.trace else None,
+        **_planner_opts(args),
+    )
+    notes = result.raw.notes
+    if result.trace is not None:
+        obs.write_chrome_trace(result.trace, args.trace)
+        print(f"wrote trace ({len(result.trace)} spans) to {args.trace}")
     if args.stats_json:
         payload = obs.metrics_payload(
-            registry,
+            result.metrics,
             command="schedule",
             profile=args.profile,
             algorithm=args.algorithm,
-            status=mp.status if mp is not None else
-            ("ok" if pattern is not None else "infeasible"),
+            status=result.status,
         )
         Path(args.stats_json).write_text(json.dumps(payload, indent=1))
         print(f"wrote solver metrics to {args.stats_json}")
     if args.stats:
+        ilp = getattr(result.raw, "ilp", None)
         _print_registry_stats(
-            registry.snapshot(),
-            mp.ilp.status if mp is not None and mp.ilp is not None else None,
+            result.metrics,
+            ilp.status if ilp is not None else None,
             args.schedule_family,
         )
-        if mp is not None:
-            print(f"result status: {mp.status}")
-            for note in mp.notes:
-                print(f"  - {note}")
-            if mp.certificate is not None:
-                c = mp.certificate
-                line = f"certificate: {'ok' if c.ok else 'FAILED'} [{c.mode}]"
-                if c.periods_simulated:
-                    line += f", {c.periods_simulated} periods simulated"
-                if c.oom_margin:
-                    line += (
-                        f", min OOM margin "
-                        f"{min(c.oom_margin.values()) / 2**30:.3f} GB"
-                    )
-                print(line)
-    if pattern is None:
-        if mp is not None and mp.status != "ok":
-            reason = "; ".join(mp.notes) or mp.status
-            print(f"no memory-feasible schedule found [{mp.status}]: {reason}")
-        else:
-            print("no memory-feasible schedule found")
+        print(f"result status: {result.status}")
+        for note in notes:
+            print(f"  - {note}")
+        c = result.certificate
+        if c is not None:
+            line = f"certificate: {'ok' if c.ok else 'FAILED'} [{c.mode}]"
+            if c.periods_simulated:
+                line += f", {c.periods_simulated} periods simulated"
+            if c.oom_margin:
+                line += (
+                    f", min OOM margin "
+                    f"{min(c.oom_margin.values()) / 2**30:.3f} GB"
+                )
+            print(line)
+    if result.pattern is None:
+        reason = "; ".join(notes) or result.status
+        print(f"no memory-feasible schedule found [{result.status}]: {reason}")
         return 1
-    print(schedule_report(chain, platform, pattern))
+    print(schedule_report(chain, platform, result.pattern))
     if args.gantt:
         print()
-        print(render_gantt(pattern, width=args.width))
+        print(render_gantt(result.pattern, width=args.width))
     if args.out:
-        save_pattern(pattern, args.out)
+        save_pattern(result.pattern, args.out)
         print(f"\nwrote schedule to {args.out}")
     return 0
 
@@ -264,14 +262,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
     chain = load_chain(args.profile)
     platform = Platform.of(args.procs, args.memory_gb, args.bandwidth_gbps)
-    opts = {}
-    if args.algorithm == "madpipe":
-        opts = dict(
-            grid=getattr(Discretization, args.grid)(),
-            iterations=args.iterations,
-            ilp_time_limit=args.ilp_time_limit,
-            memory_headroom=args.memory_headroom,
-        )
     noise = NoiseModel(
         sigma_compute=args.sigma_compute,
         sigma_activation=args.sigma_activation,
@@ -294,7 +284,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         noise = calibration.noise
     registry = obs.MetricsRegistry()
     with obs.use_metrics(registry):
-        result = plan(chain, platform, algorithm=args.algorithm, **opts)
+        result = plan(chain, platform, algorithm=args.algorithm, **_planner_opts(args))
         cert = certify(
             chain,
             platform,

@@ -3,25 +3,17 @@
 Every (network, P, M, β, algorithm) instance yields a :class:`RunResult`
 with both the optimizer's own estimate (``dp_period``, the dashed lines
 of Fig. 6) and the certified valid-schedule period (``valid_period``, the
-solid lines), plus a ``status`` recording how the instance ended:
+solid lines), plus a ``status`` recording how the instance ended.
 
-``ok``
-    a certified schedule with no solver-budget trouble;
-``degraded``
-    a certified schedule, but the phase-2 MILP exhausted its time budget
-    somewhere along the way (the period carries the contiguous fallback or
-    an uncertified search outcome — valid, possibly improvable);
-``solver_timeout``
-    no schedule, and the failure is a time-limit hit rather than proven
-    infeasibility (re-running with a larger budget may succeed);
-``infeasible``
-    certified: no valid schedule exists for the instance;
-``error``
-    the instance crashed or exceeded its deadline repeatedly and was
-    recorded instead of re-raised (``on_exhausted="record"``), *or* its
-    schedule failed the discrete-event certification gate and no
-    certified fallback existed — the quarantined period is withheld
-    (``valid_period = inf``), never recorded as valid.
+The harness does not interpret planner results: ``status``,
+``valid_period`` and ``failure`` (the planner's ``notes``) are read off
+the one outcome contract that :func:`~repro.algorithms.madpipe.madpipe`
+and :func:`~repro.algorithms.pipedream.pipedream` share (see
+:class:`~repro.algorithms.madpipe.MadPipeResult`): each planner owns its
+certification gate, so a row always agrees with :func:`repro.api.plan`.
+The one harness-side status is ``error`` (or ``solver_timeout`` for a
+blown deadline) for an instance that crashed repeatedly and was
+recorded instead of re-raised (``on_exhausted="record"``).
 
 Sweeps are built to *survive*:
 
@@ -66,7 +58,6 @@ from ..algorithms.madpipe_dp import Discretization
 from ..algorithms.pipedream import pipedream
 from ..core.chain import Chain
 from ..core.platform import GB, GBPS, Platform
-from ..robust import certify_pattern
 from ..testing import faults
 from .scenarios import paper_chain
 
@@ -172,8 +163,6 @@ def run_instance(
     families belong in different cache files.
     """
     t0 = time.perf_counter()
-    status = "ok"
-    failure: str | None = None
     with obs.span(
         "instance",
         network=network or chain.name,
@@ -182,31 +171,7 @@ def run_instance(
         memory_gb=platform.memory / GB,
         bandwidth_gbps=platform.bandwidth / GBPS,
     ) as inst_span:
-        if algorithm == "pipedream":
-            res = pipedream(chain, platform, schedule_family=schedule_family)
-            dp, valid = res.dp_period, res.period
-            n_stages = res.partitioning.n_stages if res.feasible else 0
-            if not res.feasible:
-                status, failure = (
-                    "infeasible",
-                    "pipedream found no memory-feasible schedule",
-                )
-            else:
-                # certification gate: pipedream has no fallback schedule,
-                # so a rejected pattern is quarantined as an error, never
-                # recorded as a valid period
-                cert = certify_pattern(
-                    chain,
-                    platform,
-                    res.schedule.pattern if res.schedule is not None else None,
-                    source=f"pipedream:{network or chain.name}",
-                )
-                if not cert.ok:
-                    obs.inc("certify.quarantined")
-                    valid = INF
-                    status = "error"
-                    failure = "certification failed: " + "; ".join(cert.violations)
-        elif algorithm == "madpipe":
+        if algorithm == "madpipe":
             res = madpipe(
                 chain,
                 platform,
@@ -215,14 +180,15 @@ def run_instance(
                 ilp_time_limit=ilp_time_limit,
                 schedule_family=schedule_family,
             )
-            dp, valid = res.dp_period, res.period
-            n_stages = res.allocation.n_stages if res.allocation is not None else 0
-            status = res.status
-            if status != "ok":
-                failure = "; ".join(res.notes) or None
+            stages = res.allocation
+        elif algorithm == "pipedream":
+            res = pipedream(chain, platform, schedule_family=schedule_family)
+            stages = res.partitioning
         else:
             raise ValueError(f"unknown algorithm {algorithm!r}")
-        inst_span.set(status=status, period=valid if valid != INF else None)
+        inst_span.set(
+            status=res.status, period=res.period if res.period != INF else None
+        )
     obs.inc("sweep.instances")
     return RunResult(
         network=network or chain.name,
@@ -230,13 +196,13 @@ def run_instance(
         memory_gb=platform.memory / GB,
         bandwidth_gbps=platform.bandwidth / GBPS,
         algorithm=algorithm,
-        dp_period=dp,
-        valid_period=valid,
-        n_stages=n_stages,
+        dp_period=res.dp_period,
+        valid_period=res.period,
+        n_stages=stages.n_stages if stages is not None else 0,
         runtime_s=time.perf_counter() - t0,
         sequential=chain.total_compute(),
-        status=status,
-        failure=failure,
+        status=res.status,
+        failure=None if res.status == "ok" else "; ".join(res.notes) or None,
     )
 
 

@@ -597,20 +597,12 @@ def _schedule_allocation(
     #    gallop from the lower bound, capped by the sequential period
     ladder: list[float] = []
     if allocation.n_stages <= platform.n_procs:
-        if schedule_family == "zero_bubble":
-            from ..algorithms.zero_bubble import min_feasible_period_zb
+        from ..algorithms.zero_bubble import contiguous_search
 
-            star = min_feasible_period_zb(
-                chain, platform, allocation.partitioning,
-                build=False, memory_headroom=memory_headroom,
-            )
-        else:
-            from ..algorithms.onef1b import min_feasible_period
-
-            star = min_feasible_period(
-                chain, platform, allocation.partitioning,
-                build=False, memory_headroom=memory_headroom,
-            )
+        star = contiguous_search(schedule_family)(
+            chain, platform, allocation.partitioning,
+            build=False, memory_headroom=memory_headroom,
+        )
         if star is not None and lower < star.period < seq:
             ladder.append(star.period)
     step = GALLOP_FACTOR

@@ -1,4 +1,4 @@
-"""The stable ``repro.api`` facade and the top-level deprecation shims."""
+"""The stable ``repro.api`` facade and the top-level re-exports."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.algorithms.gpipe import gpipe
 from repro.algorithms.madpipe import madpipe
 from repro.algorithms.madpipe_dp import Discretization
 from repro.algorithms.pipedream import pipedream
-from repro.core.platform import Platform
 from repro.experiments import run_grid
 
 COARSE = Discretization.coarse()
@@ -127,52 +126,6 @@ class TestSweep:
         assert api.load_chain is load_chain
 
 
-class TestDeprecationShims:
-    def _reset(self, name):
-        repro._DEPRECATION_WARNED.discard(name)
-        repro.__dict__.pop(name, None)  # drop the cached resolution
-
-    def test_warns_exactly_once(self):
-        self._reset("madpipe")
-        with warnings.catch_warnings(record=True) as w:
-            warnings.simplefilter("always")
-            f = repro.madpipe
-            g = repro.madpipe
-        deprecations = [x for x in w if issubclass(x.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "repro.madpipe" in str(deprecations[0].message)
-        assert f is g is madpipe
-
-    def test_schedule_allocation_shim(self):
-        from repro.ilp.solver import schedule_allocation
-
-        self._reset("schedule_allocation")
-        with warnings.catch_warnings(record=True) as w:
-            warnings.simplefilter("always")
-            shim = repro.schedule_allocation
-        assert shim is schedule_allocation
-        assert any(issubclass(x.category, DeprecationWarning) for x in w)
-
-    def test_star_import_still_exports_them(self):
-        assert "madpipe" in repro.__all__
-        assert "schedule_allocation" in repro.__all__
-
-    def test_unknown_attribute(self):
-        with pytest.raises(AttributeError, match="no attribute"):
-            repro.definitely_not_a_thing
-
-    def test_internal_imports_do_not_warn(self):
-        """The instrumented modules import from submodules, so merely
-        planning must not emit DeprecationWarning."""
-        import repro.models as models
-
-        chain = models.uniform_chain(6)
-        plat = Platform.of(2, 8.0, 12.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            api.plan(chain, plat, iterations=2, grid=COARSE)
-
-
 class TestTopLevelFacade:
     def test_plan_and_sweep_reexported(self):
         assert repro.plan is api.plan
@@ -183,3 +136,13 @@ class TestTopLevelFacade:
     def test_all_resolves(self):
         for name in repro.__all__:
             assert getattr(repro, name) is not None
+
+    def test_unknown_attribute(self):
+        with pytest.raises(AttributeError, match="no attribute"):
+            repro.definitely_not_a_thing
+
+    def test_internal_imports_do_not_warn(self, uniform8, plat2):
+        """Planning through the facade emits no DeprecationWarning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            api.plan(uniform8, plat2, iterations=2, grid=COARSE)

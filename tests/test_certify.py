@@ -16,19 +16,22 @@ import pytest
 
 from repro import obs
 from repro.algorithms.madpipe import madpipe
-from repro.api import certify, plan
+from repro.algorithms.madpipe_dp import Discretization
+from repro.algorithms.pipedream import pipedream
+from repro.api import certify, plan, sweep
 from repro.cli import main as cli_main
-from repro.core.memory import effective_capacity
-from repro.core.platform import Platform
+from repro.core.memory import effective_capacity, stage_memory
+from repro.core.platform import GB, Platform
 from repro.core.tolerances import memory_slack
 from repro.experiments.harness import run_instance
-from repro.models import uniform_chain
+from repro.models import random_chain, uniform_chain
 from repro.profiling import NoiseModel, save_chain
 from repro.robust import certify_pattern, robustness_report
 from repro.testing import Fault, faults
 
 INF = float("inf")
 MB = float(2**20)
+COARSE = Discretization.coarse()
 
 
 @pytest.fixture(autouse=True)
@@ -435,3 +438,91 @@ class TestIncumbentGate:
 def test_certify_pattern_none_is_skipped(chain, plat):
     cert = certify_pattern(chain, plat, None, source="x")
     assert cert.ok and cert.mode == "skipped"
+
+
+def _zb_gap_instance():
+    """PipeDream finds a partitioning here, but no zero-bubble schedule
+    fits on it: M is half the one-stage memory of ``random_chain(12, 52)``."""
+    chain = random_chain(12, seed=52)
+    mem_gb = 0.5 * stage_memory(chain, 1, chain.L, 1) / GB
+    return chain, mem_gb
+
+
+class TestOneOutcome:
+    """``api.plan``, sweeps and ``repro schedule`` read one planner
+    outcome, so they agree on every plan's status and period."""
+
+    def test_pipedream_without_schedule_is_infeasible(self):
+        chain, mem_gb = _zb_gap_instance()
+        platform = Platform.of(4, mem_gb, 12)
+        res = pipedream(chain, platform, schedule_family="zero_bubble")
+        assert res.partitioning is not None and res.schedule is None
+        assert not res.feasible and res.status == "infeasible"
+        r = run_instance(chain, platform, "pipedream", schedule_family="zero_bubble")
+        assert r.status == "infeasible" and r.valid_period == INF
+        planned = plan(chain, platform, algorithm="pipedream",
+                       schedule_family="zero_bubble")
+        assert planned.status == r.status
+
+    def test_cli_pipedream_without_schedule(self, tmp_path, capsys):
+        chain, mem_gb = _zb_gap_instance()
+        profile = tmp_path / "rand12.json"
+        save_chain(chain, profile)
+        rc = cli_main(["schedule", str(profile), "-p", "4", "-m", repr(mem_gb),
+                       "-a", "pipedream", "--schedule-family", "zero_bubble"])
+        assert rc == 1
+        assert "no memory-feasible schedule found" in capsys.readouterr().out
+
+    def test_sweep_rows_with_a_plan_have_a_period(self):
+        res = sweep(("toy8", (2, 4), (0.0968, 0.117, 8.0), 12.0),
+                    schedule_family="zero_bubble", grid=COARSE, iterations=2,
+                    warm_start=False)
+        assert "infeasible" in res.statuses
+        for r in res.results:
+            if r.status in ("ok", "degraded"):
+                assert r.valid_period != INF, r
+
+    @pytest.mark.parametrize("inject", [
+        False, pytest.param(True, marks=pytest.mark.faultinject),
+    ])
+    @pytest.mark.parametrize("family", ["1f1b", "zero_bubble"])
+    @pytest.mark.parametrize("algorithm", ["madpipe", "pipedream"])
+    @pytest.mark.parametrize("instance", ["uniform8", "zb_gap"])
+    def test_entry_points_agree(
+        self, instance, algorithm, family, inject, tmp_path, capsys
+    ):
+        if instance == "uniform8":
+            chain, mem_gb = uniform_chain(8), 1.0
+        else:
+            chain, mem_gb = _zb_gap_instance()
+        platform = Platform.of(4, mem_gb, 12)
+        if inject:
+            faults.install(
+                [Fault(site="sim_verify", action="fail", key="pipedream:", times=-1)],
+                tmp_path,
+            )
+        opts = dict(grid=COARSE, iterations=4) if algorithm == "madpipe" else {}
+        planned = plan(chain, platform, algorithm=algorithm, schedule_family=family,
+                       **opts).to_json()
+        row = run_instance(chain, platform, algorithm, schedule_family=family,
+                           grid=COARSE, iterations=4)
+        assert row.status == planned["status"]
+        assert row.valid_period == (
+            INF if planned["period"] is None else planned["period"]
+        )
+        if inject and algorithm == "pipedream" and planned["pattern"] is not None:
+            pytest.fail("a quarantined PipeDream pattern was returned")
+
+        profile = tmp_path / "chain.json"
+        save_chain(chain, profile)
+        capsys.readouterr()
+        rc = cli_main(["schedule", str(profile), "-p", "4", "-m", repr(mem_gb),
+                       "-a", algorithm, "--schedule-family", family,
+                       "--grid", "coarse", "--iterations", "4"])
+        out = capsys.readouterr().out
+        if planned["period"] is None:
+            assert rc == 1
+            assert f"no memory-feasible schedule found [{planned['status']}]" in out
+        else:
+            assert rc == 0
+            assert f"period {planned['period']:.6g}s" in out

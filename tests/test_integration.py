@@ -8,13 +8,13 @@ from repro import (
     V100,
     gpipe,
     linearize,
-    madpipe,
     pipedream,
     profile_model,
     render_gantt,
     resnet50,
     verify_pattern,
 )
+from repro.algorithms import madpipe
 from repro.profiling import load_chain, save_chain
 from repro.sim import eager_1f1b
 from repro.core import Allocation
