@@ -18,12 +18,13 @@ phase 1 promised, or run out of budget.  One ladder of contiguous
 schedules in the same family repairs both: rung 1 is the allocation's
 own contiguous restriction (when it has at most one stage per GPU), the
 ILP-timeout fallback; rung 2 is the contiguous-restriction DP
-(MadPipe-DP without the special processor, which collapses the
-``(t_P, m_P)`` state dimensions and is nearly free), run at most once
-per call.  Rung 2 is also a candidate, returned when it beats the
-phase-1 schedule (``contiguous_fallback=False`` gives the strict
-phase-1+ILP behaviour), and a pattern that fails the certification
-gate is replaced by the first rung whose own pattern certifies.
+(MadPipe-DP without the special processor: every state has ``t_P =
+m_P = 0``, so the DP packs keys over ``(l, p, V)`` only; about 11% of
+a tight-memory plan's time), run at most once per call.  Rung 2 is also
+a candidate, returned when it beats the phase-1 schedule
+(``contiguous_fallback=False`` gives the strict phase-1+ILP behaviour),
+and a pattern that fails the certification gate is replaced by the
+first rung whose own pattern certifies.
 """
 
 from __future__ import annotations

@@ -32,7 +32,10 @@ recursion and no ``sys.setrecursionlimit``.  Every transition moves to a
 strictly smaller layer index ``l``, so the reachable state graph is
 stratified by ``l``.  States are packed into a single integer key
 ``((((l·(P+1) + p)·n_t + it)·n_m + im)·n_v + iv`` and processed one
-*level* (all states sharing ``l``) at a time.
+*level* (all states sharing ``l``) at a time.  Without the special
+processor (``allow_special=False``, the contiguous restriction) every
+state has ``it = im = 0``, so the key is packed with ``n_t = n_m = 1``:
+the bitmap and the value table shrink to ``(L+1)·(P+1)·n_v`` entries.
 
 Expanding a level evaluates every ``(state, k)`` candidate stage
 ``k..l``, but each float term of a candidate depends on one grid digit
@@ -48,15 +51,26 @@ the same operands in the same order as a per-candidate evaluation
 very floats the naive recursion computes.  They depend on ``T̂``, the
 cap and ``M``, so they are rebuilt per probe; only the
 target-independent per-level constants may be shared by a warm
-workspace.
+workspace (keyed by level and stride layout, so one workspace serves
+both modes).  The tables stop at the last column under the period cap,
+and the candidate matrices at the last column some table row admits
+(under the cap and in memory): every candidate beyond is invalid for
+every state.  The pruning counters still count all ``l`` columns.
 
 1. a **downward reachability sweep** (``l = L … 1``) expands whole
    levels, applying the ``period_cap``/memory masks in bulk, and
    scatters the reachable children into one flat bitmap over the packed
    key space, so each level's sorted key array is a single
-   ``flatnonzero`` (no sorting or dedup passes);
-2. an **upward value sweep** (``l = 1 … L``) re-expands each reachable
-   level, gathers child values by direct indexing into a dense value
+   ``flatnonzero`` (no sorting or dedup passes).  It keeps each level's
+   expansion (bool masks and ``int32`` child keys while the key space
+   fits) for the value sweep, up to ``_FORWARD_BUDGET`` bytes, and
+   records whether a *terminal* is reachable: a level-0 child, or a
+   ``p == 0`` state whose closing stage fits in memory.  T(root) is
+   finite exactly when one is, so a probe without one (a *dead* probe)
+   returns ``T = ∞`` here; its counters come from this sweep alone;
+2. an **upward value sweep** (``l = 1 … L``) takes each reachable
+   level's kept expansion (or re-expands a level past the budget),
+   gathers child values by direct indexing into a dense value
    table over the packed key space (level 0 is prefilled closed-form;
    lower levels are solved first, so every lookup hits a written
    entry), and takes one ``argmin`` per level over ``k = l … 1`` of the
@@ -98,8 +112,10 @@ _NO_CHILD = -1  # decision sentinel: stage closes the chain (p == 0 base)
 _NO_DEC = -2  # decision sentinel: state is infeasible
 
 #: Byte budget for carrying discovery-pass expansions into the value
-#: sweep (warm mode): levels past the budget are simply re-expanded.
-_FORWARD_BUDGET = 256 << 20
+#: sweep: levels past the budget are simply re-expanded.  A default-grid
+#: probe keeps at most ~33 MB; paper-grid probes on resnet101 would keep
+#: up to ~240 MB, which this cap trades for some re-expansion.
+_FORWARD_BUDGET = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -182,11 +198,19 @@ class MadPipeDPResult:
         return self.allocation is not None
 
 
+def _end(mask: np.ndarray) -> int:
+    """One past the last ``True`` of a 1-D mask (1 when there is none)."""
+    i = int(mask[::-1].argmax())
+    return len(mask) - i if mask[-1 - i] else 1
+
+
 class _LevelDP:
     """One MadPipe-DP(T̂) evaluation, batched level by level.
 
     Packed state key layout (most→least significant digit):
-    ``l · S_l + p · S_p + it · S_t + im · S_m + iv``.
+    ``l · S_l + p · S_p + it · S_t + im · S_m + iv``.  Without the special
+    processor every state has ``it = im = 0``, so those two digits take
+    one value each (``S_p = S_t = S_m = n_v``).
     """
 
     def __init__(
@@ -198,7 +222,6 @@ class _LevelDP:
         period_cap: float,
         allow_special: bool,
         rows_cache: dict | None = None,
-        forward: bool = False,
     ):
         self.L, self.P, self.M = chain.L, platform.n_procs, platform.memory
         self.beta = platform.bandwidth
@@ -215,12 +238,16 @@ class _LevelDP:
         self.im_top = grid.n_m - 1
         self.iv_top = grid.n_v - 1
 
-        # packed-key strides
+        # packed-key strides; n_t / n_m are the key digits' ranges
+        self.n_t = grid.n_t if allow_special else 1
+        self.n_m = grid.n_m if allow_special else 1
         self.S_m = grid.n_v
-        self.S_t = grid.n_m * self.S_m
-        self.S_p = grid.n_t * self.S_t
+        self.S_t = self.n_m * self.S_m
+        self.S_p = self.n_t * self.S_t
         self.S_l = (self.P + 1) * self.S_p
-        self.n_t = grid.n_t
+        # int32 keys halve the kept expansions and the gathers' traffic
+        n_keys = (self.L + 1) * self.S_l
+        self.key_dtype = np.int32 if n_keys <= np.iinfo(np.int32).max else np.int64
 
         self.cumU = chain._cum_u
         self.cumW = chain._cum_w
@@ -229,11 +256,9 @@ class _LevelDP:
 
         # per-level static candidate rows, index j = l - k (k descending);
         # pure functions of (chain, beta, strides), so a warm workspace may
-        # share one dict across probes, searches and instances
-        self._rows: dict[int, tuple] = {} if rows_cache is None else rows_cache
-        # warm mode: carry the discovery pass's expansions into reduce()
-        # (both passes expand identical key sets — see reduce()'s docstring)
-        self._forward = forward
+        # share one dict across probes, searches, instances and both modes
+        self._rows: dict[tuple, tuple] = {} if rows_cache is None else rows_cache
+        # discovery's expansions, carried into reduce() while they fit
         self._fwd: dict[int, tuple] = {}
         self._fwd_bytes = 0
         self.forwarded = 0
@@ -253,8 +278,9 @@ class _LevelDP:
 
     def _static_rows(self, l: int) -> tuple:
         """Candidate-stage constants for level ``l``: arrays over the cut
-        layer ``k = l … 1`` (index ``j = l − k``)."""
-        rows = self._rows.get(l)
+        layer ``k = l … 1`` (index ``j = l − k``).  Keyed by the stride
+        layout too: ``kb`` holds packed keys."""
+        rows = self._rows.get((l, self.S_l))
         if rows is not None:
             return rows
         # cumU[k-1], cumW[k-1], cumA[k-1] for k = l..1  →  reversed prefixes
@@ -267,18 +293,20 @@ class _LevelDP:
         b1 = 2.0 * a_in  # first-boundary buffers (k > 1 only)
         b2 = 2.0 * self.act[l] if l < self.L else 0.0
         local_n = np.maximum(U, comm)
-        kb = np.arange(l - 1, -1, -1, dtype=np.int64) * self.S_l  # (k-1)·S_l
+        kb = np.arange(l - 1, -1, -1, dtype=self.key_dtype) * self.S_l  # (k-1)·S_l
         rows = (U, dw3, da, comm, b1, b2, local_n, kb)
-        self._rows[l] = rows
+        self._rows[(l, self.S_l)] = rows
         return rows
 
     # -- level expansion ----------------------------------------------------
 
     def _tables(self, l: int) -> tuple:
         """Per-probe grid tables for level ``l`` (see the module docstring):
-        one row per grid digit value, one column per ``k = l … 1``.
+        one row per grid digit value, one column per ``k = l … l − c + 1``,
+        where ``c ≥ 1`` is one past the last column under the period cap
+        (no candidate beyond it survives: ``t_P + U ≥ U``).
 
-        Returns ``(cap_n, ok_n, kn, spec)``: the normal cap mask ``(l,)``;
+        Returns ``(cap_n, ok_n, kn, spec)``: the normal cap mask ``(c,)``;
         over ``iv``, the normal validity mask and ``(k−1)·S_l + iv2``; and
         ``spec`` (``None`` without the special processor) = ``(cap_s, kt,
         local_s, ok_s, kmv)`` — over ``it``, the cap mask, ``(k−1)·S_l +
@@ -287,6 +315,11 @@ class _LevelDP:
         """
         U, dw3, da, comm, b1, b2, _, kb = self._static_rows(l)
         That, cap, M = self.That, self.cap, self.M
+        cap_n = U < cap  # also subsumes the naive loop's break condition
+        c = _end(cap_n)
+        U, dw3, da, comm, b1, kb, cap_n = (
+            U[:c], dw3[:c], da[:c], comm[:c], b1[:c], kb[:c], cap_n[:c]
+        )
         V = np.arange(self.S_m, dtype=np.int64) * self.v_step
 
         VU = V[:, None] + U[None, :]
@@ -303,10 +336,10 @@ class _LevelDP:
         V2 = np.where(
             cr1 == np.ceil((r1 + comm) / That - 1e-9), r1 + comm, That * cr1 + comm
         )
-        iv2 = np.minimum(np.ceil(V2 / self.v_step - 1e-9), self.iv_top).astype(np.int64)
+        iv2 = np.minimum(np.ceil(V2 / self.v_step - 1e-9), self.iv_top)
+        iv2 = iv2.astype(self.key_dtype)
 
         # normal processor: child (k-1, p-1, it, im, iv2)
-        cap_n = U < cap  # also subsumes the naive loop's break condition
         ok_n = cap_n & (mem_g <= M + _EPS)
         kn = kb + iv2
         if not self.allow_special:
@@ -319,80 +352,93 @@ class _LevelDP:
         t_P = np.arange(self.n_t, dtype=np.int64) * self.t_step
         t2 = t_P[:, None] + U[None, :]
         cap_s = t2 < cap
-        it2 = np.minimum(np.ceil(t2 / self.t_step - 1e-9), self.it_top).astype(np.int64)
-        kt = kb + it2 * self.S_t
+        it2 = np.minimum(np.ceil(t2 / self.t_step - 1e-9), self.it_top)
+        kt = kb + it2.astype(self.key_dtype) * self.S_t
         local_s = np.maximum(t2, comm)
-        m_P = np.arange(self.im_top + 1, dtype=np.int64) * self.m_step
+        m_P = np.arange(self.n_m, dtype=np.int64) * self.m_step
         m2 = m_P[:, None, None] + mem_gm1[None, :, :]  # (im, iv, k)
-        ok_s = (m2 <= M + _EPS).reshape(-1, l)
-        im2 = np.minimum(np.ceil(m2 / self.m_step - 1e-9), self.im_top).astype(np.int64)
-        kmv = (im2 * self.S_m + iv2[None, :, :]).reshape(-1, l)
+        ok_s = (m2 <= M + _EPS).reshape(self.S_t, c)
+        im2 = np.minimum(np.ceil(m2 / self.m_step - 1e-9), self.im_top)
+        kmv = (im2.astype(self.key_dtype) * self.S_m + iv2[None, :, :]).reshape(self.S_t, c)
         return cap_n, ok_n, kn, (cap_s, kt, local_s, ok_s, kmv)
 
     def _expand(self, l: int, keys: np.ndarray, count: bool = False) -> tuple:
         """Candidate generation for all ``p ≥ 1`` states of one level:
-        validity masks, packed child keys and local costs, shaped
-        ``(n_states, l)`` with ``k`` descending along axis 1, gathered
-        row-wise from :meth:`_tables` by each state's grid digits.  The
-        special-processor outputs are ``None`` when it is disabled.
+        validity masks and packed child keys shaped ``(n_states, J)``,
+        ``k`` descending along axis 1, gathered row-wise from
+        :meth:`_tables` by each state's grid digits.  Columns stop at the
+        last ``k`` some table row admits (under the cap and in memory;
+        ``J ≥ 1``): every candidate past it is invalid for every state.
 
-        ``count=True`` accumulates the pruning counters, one per rejected
-        ``(state, k, processor)`` candidate (the expansion runs once per
-        pass, so only the discovery pass counts).
+        Returns ``(valid_n, child_n, valid_s, child_s, local_s)``; the
+        special-processor entries are ``None`` when it is disabled, and
+        ``local_s`` is its ``(n_t, J)`` table, gathered by ``it`` only
+        where the values are needed.
+
+        ``count=True`` accumulates the pruning counters over all ``l``
+        columns, one per rejected ``(state, k, processor)`` candidate
+        (only the discovery pass counts).
         """
-        local_n = self._static_rows(l)[6]
         cap_n, ok_n, kn, spec = self._tables(l)
         iv = keys % self.S_m
-        low = keys % self.S_l  # p·S_p + it·S_t + im·S_m + iv
-
-        # ndarray.take: ~15% faster than fancy indexing for these gathers
-        valid_n = ok_n.take(iv, axis=0)
-        child_n = kn.take(iv, axis=0)
-        child_n += (low - iv - self.S_p)[:, None]  # + (p-1)·S_p + it·S_t + im·S_m
+        admit = ok_n.any(axis=0)
+        if spec is not None:
+            cap_s, kt, local_s, ok_s, kmv = spec
+            it = (keys // self.S_t) % self.n_t
+            admit |= cap_s.any(axis=0) & ok_s.any(axis=0)
+        J = _end(admit)
         if count:
             n_cap = int(np.count_nonzero(cap_n))
             self.pruned_cap += len(keys) * (l - n_cap)
             hist_v = np.bincount(iv, minlength=self.S_m)
             self.pruned_mem += int(hist_v @ (n_cap - ok_n.sum(axis=1)))
-        if spec is None:
-            return valid_n, child_n, local_n, None, None, None
+            if spec is not None:
+                n_cap_s = cap_s.sum(axis=1)
+                hist_t = np.bincount(it, minlength=self.n_t)
+                self.pruned_cap += int(hist_t @ (l - n_cap_s))
+                self.pruned_mem += int(hist_t @ n_cap_s)
+        low = keys % self.S_l  # p·S_p + it·S_t + im·S_m + iv
 
-        cap_s, kt, local_s, ok_s, kmv = spec
-        it = (keys // self.S_t) % self.n_t
+        # ndarray.take: ~15% faster than fancy indexing for these gathers
+        valid_n = ok_n[:, :J].take(iv, axis=0)
+        child_n = kn[:, :J].take(iv, axis=0)
+        child_n += (low - iv - self.S_p)[:, None]  # + (p-1)·S_p + it·S_t + im·S_m
+        if spec is None:
+            return valid_n, child_n, None, None, None
+
         imv = keys % self.S_t
-        valid_s = cap_s.take(it, axis=0)
-        valid_s &= ok_s.take(imv, axis=0)
-        child_s = kt.take(it, axis=0)
-        child_s += kmv.take(imv, axis=0)
+        valid_s = cap_s[:, :J].take(it, axis=0)
+        valid_s &= ok_s[:, :J].take(imv, axis=0)
+        child_s = kt[:, :J].take(it, axis=0)
+        child_s += kmv[:, :J].take(imv, axis=0)
         child_s += (low - keys % self.S_p)[:, None]  # + p·S_p
         if count:
-            n_cap_s = cap_s.sum(axis=1)
-            hist_t = np.bincount(it, minlength=self.n_t)
-            self.pruned_cap += int(hist_t @ (l - n_cap_s))
-            self.pruned_mem += int(hist_t @ n_cap_s) - int(np.count_nonzero(valid_s))
-        return valid_n, child_n, local_n, valid_s, child_s, local_s.take(it, axis=0)
+            self.pruned_mem -= int(np.count_nonzero(valid_s))
+        return valid_n, child_n, valid_s, child_s, local_s[:, :J]
 
     def _base_p0(self, l: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values of the ``p == 0`` states of one level: all remaining
-        layers become one stage on the special processor."""
+        layers become one stage on the special processor (none closes
+        without it)."""
+        if not self.allow_special:
+            return np.full(len(keys), INF), np.zeros(len(keys), dtype=bool)
         V = (keys % self.S_m) * self.v_step
         t_P = ((keys // self.S_t) % self.n_t) * self.t_step
-        m_P = ((keys // self.S_m) % (self.S_t // self.S_m)) * self.m_step
+        m_P = ((keys // self.S_m) % self.n_m) * self.m_step
         U_1l = float(self.cumU[l])
         g = np.maximum(np.ceil((V + U_1l) / self.That - 1e-9), 1.0)
         m = 3.0 * float(self.cumW[l]) + (g - 1.0) * float(self.cumA[l])
         if l < self.L:
             m = m + 2.0 * float(self.act[l])
-        feasible = (m_P + m <= self.M + _EPS) if self.allow_special else np.zeros(
-            len(keys), dtype=bool
-        )
+        feasible = m_P + m <= self.M + _EPS
         vals = np.where(feasible, U_1l + t_P, INF)
         return vals, feasible
 
     # -- passes -------------------------------------------------------------
 
-    def discover(self, root: int) -> None:
-        """Downward sweep: compute the reachable state set of every level.
+    def discover(self, root: int) -> bool:
+        """Downward sweep: compute the reachable state set of every level;
+        return whether a terminal state is reachable.
 
         Reachability lives in one flat bitmap over the packed key space:
         valid child matrices are scattered wholesale (``seen[kids] =
@@ -400,6 +446,11 @@ class _LevelDP:
         single ``flatnonzero`` over its segment of the bitmap — levels
         are processed in descending ``l``, so every parent has been
         expanded by the time a segment is read.
+
+        Each level's expansion is kept for :meth:`reduce` while the kept
+        arrays fit in ``_FORWARD_BUDGET`` bytes.  A terminal is a level-0
+        child or a ``p == 0`` state that closes the chain; T(root) is
+        finite exactly when one is reachable.
         """
         S_l = self.S_l
         seen = np.zeros((self.L + 1) * S_l, dtype=bool)
@@ -416,20 +467,30 @@ class _LevelDP:
             keys_b = keys[p >= 1]
             if not len(keys_b):
                 continue
-            exp = self._expand(l, keys_b, count=True)
-            valid_n, child_n, _, valid_s, child_s, _ = exp
-            if self._forward:
-                nbytes = sum(
-                    a.nbytes for a in exp if isinstance(a, np.ndarray)
-                )
-                if self._fwd_bytes + nbytes <= _FORWARD_BUDGET:
-                    self._fwd[l] = exp
-                    self._fwd_bytes += nbytes
+            exp = self._expand(l, keys_b.astype(self.key_dtype), count=True)
+            nbytes = sum(a.nbytes for a in exp if a is not None)
+            if self._fwd_bytes + nbytes <= _FORWARD_BUDGET:
+                self._fwd[l] = exp
+                self._fwd_bytes += nbytes
+            valid_n, child_n, valid_s, child_s, _ = exp
             # level-0 children land in the bitmap too, but their segment
-            # is never read back (T(0, ·) is closed-form in reduce())
+            # is only read to find a terminal (T(0, ·) is closed-form in reduce())
             seen[child_n[valid_n]] = True
             if valid_s is not None:
                 seen[child_s[valid_s]] = True
+        return bool(seen[:S_l].any()) or self._closes()
+
+    def _closes(self) -> bool:
+        """Does some reachable ``p == 0`` state close the chain?  None
+        can without the special processor."""
+        if not self.allow_special:
+            return False
+        for l in range(1, self.L + 1):
+            keys = self.level_keys[l]
+            keys0 = keys[(keys // self.S_p) % (self.P + 1) == 0]
+            if len(keys0) and self._base_p0(l, keys0)[1].any():
+                return True
+        return False
 
     def reduce(self) -> None:
         """Upward sweep: solve every reachable level bottom-up.
@@ -438,8 +499,8 @@ class _LevelDP:
         table over the packed key space.  ``np.empty`` is safe: level 0
         is prefilled closed-form, every other child a level references
         was scattered during discovery (the expansion is deterministic,
-        so both passes produce the same validity masks), and lower
-        levels are written before higher levels read them.
+        so a level re-expanded here gets discovery's validity masks), and
+        lower levels are written before higher levels read them.
         """
         S_l, S_t, n_t = self.S_l, self.S_t, self.n_t
         dense = np.empty((self.L + 1) * S_l, dtype=float)
@@ -474,16 +535,18 @@ class _LevelDP:
                 keys_b = keys[maskB]
                 exp = self._fwd.pop(l, None)
                 if exp is None:
-                    exp = self._expand(l, keys_b)
+                    exp = self._expand(l, keys_b.astype(self.key_dtype))
                 else:
                     self.forwarded += 1
-                valid_n, child_n, local_n, valid_s, child_s, local_s = exp
+                valid_n, child_n, valid_s, child_s, local_s = exp
                 rows = np.arange(len(keys_b))
+                local_n = self._static_rows(l)[6][: valid_n.shape[1]]
                 cand = np.where(
                     valid_n, np.maximum(local_n[None, :], dense.take(child_n)), INF
                 )
                 best = cand
                 if valid_s is not None:
+                    local_s = local_s.take((keys_b // S_t) % n_t, axis=0)
                     cand_s = np.where(valid_s, np.maximum(local_s, dense.take(child_s)), INF)
                     # naive scan order: k desc, normal before special — its
                     # first minimum is the first minimum over k of
@@ -509,7 +572,8 @@ class _LevelDP:
             dense[keys] = vals
 
     def solve(self, root: int) -> tuple[float, list[Stage], list[bool]]:
-        self.discover(root)
+        if not self.discover(root):  # no terminal reachable: T(root) = ∞
+            return INF, [], []
         self.reduce()
         S_l = self.S_l
         stages: list[Stage] = []
@@ -565,10 +629,11 @@ def madpipe_dp(
     proposes allocations that leave the requested margin.
 
     ``workspace`` (warm starts) shares the per-level candidate-stage
-    constants across evaluations of the same (chain, P, β, grid) and
-    carries the discovery pass's expansions into the value sweep — the
-    result is bit-identical either way (both are exact reuse of
-    deterministic intermediates; golden tests enforce it).
+    constants across evaluations of the same (chain, P, β, grid), in
+    either mode; the levels whose expansion the value sweep reuses are
+    then counted as ``warm.dp_reuse``.  The result is bit-identical
+    either way (exact reuse of deterministic intermediates; golden tests
+    enforce it).
     """
     if target <= 0:
         raise ValueError("target period must be positive")
@@ -577,7 +642,7 @@ def madpipe_dp(
     dp = _LevelDP(
         chain, platform.with_headroom(memory_headroom), target, grid,
         period_cap, allow_special,
-        rows_cache=workspace, forward=workspace is not None,
+        rows_cache=workspace,
     )
     # P-1 normal processors plus the special one; without the special
     # processor all P processors are normal.
@@ -585,7 +650,7 @@ def madpipe_dp(
     root = chain.L * dp.S_l + p0 * dp.S_p
     period, stages, special = dp.solve(root)
     wall = time.perf_counter() - t0
-    if dp.forwarded:
+    if workspace is not None and dp.forwarded:
         obs.inc("warm.dp_reuse", dp.forwarded)
     if period == INF:
         return MadPipeDPResult(

@@ -393,8 +393,8 @@ def degraded_opts(opts: Mapping[str, Any]) -> dict[str, Any]:
 
     Keeps the family/grid/headroom context of the original request and
     forces MadPipe's contiguous restriction: ``allow_special=False``
-    collapses the DP's special-processor dimensions (nearly free) and
-    yields a contiguous allocation scheduled by the family's exact
+    drops the DP's special-processor dimensions (a fraction of a
+    phase-1 search) and yields a contiguous allocation scheduled by the family's exact
     1F1B\\*-style construction — no MILP anywhere — which then passes the
     ordinary certification gate.  This is the same certified fallback
     plan the PR 5 quarantine degrades to.

@@ -14,6 +14,7 @@ JSONL result cache must round-trip and migrate the legacy format.
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 
@@ -30,6 +31,10 @@ from repro.models import random_chain, uniform_chain
 INF = float("inf")
 EPS = 1e-9
 COARSE = Discretization.coarse()
+#: ``random_chain(10, seed=4, decay=0.2)`` on three GPUs of this many GB
+#: at T̂ = U/2 under a cap of 0.6·U: the DP reaches ~100 states in either
+#: mode but no terminal one, so the probe is infeasible (dead)
+DEAD_MEMORY_GB = 0.5
 
 
 def assert_identical(fast, ref):
@@ -94,6 +99,36 @@ class TestGoldenEquivalence:
         ref = madpipe_dp_reference(chain, tiny, chain.total_compute(), grid=COARSE)
         assert not fast.feasible
         assert_identical(fast, ref)
+
+    @pytest.mark.parametrize("allow_special", [True, False])
+    def test_dead_probe(self, allow_special):
+        """No terminal state is reachable: the probe ends after discovery,
+        with the reference's period, state count and (no) allocation."""
+        chain = random_chain(10, seed=4, decay=0.2)
+        platform = Platform.of(3, DEAD_MEMORY_GB, 12)
+        u = chain.total_compute()
+        kw = dict(grid=COARSE, period_cap=0.6 * u, allow_special=allow_special)
+        fast = madpipe_dp(chain, platform, u / 2, **kw)
+        assert not fast.feasible and fast.states > 1
+        assert_identical(fast, madpipe_dp_reference(chain, platform, u / 2, **kw))
+
+    @pytest.mark.parametrize("allow_special", [True, False])
+    def test_levels_past_forward_budget(self, monkeypatch, allow_special):
+        """With no byte budget the value sweep re-expands every level
+        instead of taking discovery's expansion: same answer, same
+        counters."""
+        chain = random_chain(12, seed=5, decay=0.15)
+        platform = Platform.of(4, 2.0, 12)
+        u = chain.total_compute()
+        kw = dict(grid=COARSE, period_cap=0.9 * u, allow_special=allow_special)
+        kept = madpipe_dp(chain, platform, u / 3, **kw)
+        dp_module = importlib.import_module("repro.algorithms.madpipe_dp")
+        monkeypatch.setattr(dp_module, "_FORWARD_BUDGET", 0)
+        redone = madpipe_dp(chain, platform, u / 3, **kw)
+        assert kept.feasible
+        assert_identical(redone, kept)
+        assert (redone.pruned_cap, redone.pruned_mem) == (kept.pruned_cap, kept.pruned_mem)
+        assert_identical(redone, madpipe_dp_reference(chain, platform, u / 3, **kw))
 
     def test_single_processor_roots(self):
         """P=1 with the special processor makes the root a p==0 state."""
@@ -207,19 +242,23 @@ def python_prune_counts(chain, platform, target, grid, period_cap, allow_special
 class TestPruningCounters:
     @pytest.mark.parametrize("allow_special", [True, False])
     def test_counts_per_candidate(self, allow_special):
+        """On a live probe and on a dead one, whose counters come from
+        the discovery pass alone."""
         chain = random_chain(10, seed=4, decay=0.2)
-        platform = Platform.of(3, 1.0, 12)
         u = chain.total_compute()
         cap = 0.6 * u
-        res = madpipe_dp(
-            chain, platform, u / 2, grid=COARSE, period_cap=cap,
-            allow_special=allow_special,
-        )
-        expected = python_prune_counts(
-            chain, platform, u / 2, COARSE, cap, allow_special
-        )
-        assert (res.states, res.pruned_cap, res.pruned_mem) == expected
-        assert res.pruned_cap > 0 and res.pruned_mem > 0
+        for memory_gb in (1.0, DEAD_MEMORY_GB):
+            platform = Platform.of(3, memory_gb, 12)
+            res = madpipe_dp(
+                chain, platform, u / 2, grid=COARSE, period_cap=cap,
+                allow_special=allow_special,
+            )
+            expected = python_prune_counts(
+                chain, platform, u / 2, COARSE, cap, allow_special
+            )
+            assert (res.states, res.pruned_cap, res.pruned_mem) == expected
+            assert res.pruned_cap > 0 and res.pruned_mem > 0
+            assert res.feasible == (memory_gb != DEAD_MEMORY_GB)
 
 
 @st.composite
@@ -259,19 +298,22 @@ class TestGoldenProperties:
     @given(
         dp_instances(),
         st.lists(
-            st.tuples(st.floats(0.1, 1.2), st.sampled_from([0.3, 1.0, 4.0])),
+            st.tuples(
+                st.floats(0.1, 1.2), st.sampled_from([0.3, 1.0, 4.0]), st.booleans()
+            ),
             min_size=2,
             max_size=4,
         ),
-        st.booleans(),
     )
-    def test_shared_workspace_matches_cold(self, instance, probes, allow_special):
-        """Probes at different targets and memories share one workspace
-        (as a warm search does) and still equal cold evaluations."""
+    def test_shared_workspace_matches_cold(self, instance, probes):
+        """Probes at different targets, memories and restrictions share
+        one workspace (as a warm sweep's phase-1 and contiguous searches
+        do, under two packed-key layouts) and still equal cold
+        evaluations."""
         chain, platform, grid = instance
         u = chain.total_compute()
         workspace: dict = {}
-        for target, memory_gb in probes:
+        for target, memory_gb, allow_special in probes:
             plat = Platform.of(platform.n_procs, memory_gb, 12)
             kw = dict(grid=grid, period_cap=u, allow_special=allow_special)
             warm = madpipe_dp(chain, plat, target * u, workspace=workspace, **kw)
