@@ -1,6 +1,6 @@
 """Phase-2 hot-path benchmark: fast period searches vs their references.
 
-Two suites, mirroring ``bench_dp_hotpath.py``:
+Three suites; the first two mirror ``bench_dp_hotpath.py``:
 
 * **ilp** — :func:`repro.ilp.schedule_allocation` (skeleton reuse,
   gallop bracketing, LP jumps, feasibility-only probes) raced against
@@ -17,6 +17,14 @@ Two suites, mirroring ``bench_dp_hotpath.py``:
   prefix into ≤ P stages, the ``best_contiguous`` workload), with
   **bit-identical** periods enforced on all ~1800 partitionings.
 
+* **madpipe** — cold end-to-end :func:`repro.api.plan` over the
+  ``sweep-roomy`` grid of ``perfbench`` (resnet50 and inception, P ∈ {4,
+  8}, 8–16 GB, 12 GB/s, coarse DP grid), with the MILP search stopped at
+  the contiguous candidate's period (``cutoff``) and without it (a
+  bench-local wrapper drops the argument).  Wall time and MILP busy time
+  are reported per instance; the two plans must serialize
+  byte-identically.
+
 The measurement core is importable — ``scripts/bench_report.py`` uses it
 to emit ``BENCH_phase2.json`` so later changes have a perf trajectory to
 regress against.  Run standalone via the report script, or under pytest
@@ -25,9 +33,13 @@ regress against.  Run standalone via the report script, or under pytest
 
 from __future__ import annotations
 
+import importlib
+import json
 import time
+from contextlib import contextmanager
 from itertools import combinations
 
+from repro import api
 from repro.algorithms.madpipe_dp import Discretization, algorithm1
 from repro.algorithms.onef1b import min_feasible_period
 from repro.algorithms.onef1b_reference import min_feasible_period_reference
@@ -56,6 +68,13 @@ ONEF1B_L = 12
 ONEF1B_PROCS = 8
 ONEF1B_MEMORIES_GB = (3.0, 4.0)
 ONEF1B_BANDWIDTH_GBPS = 12.0
+
+# The madpipe suite: perfbench's sweep-roomy grid.
+MADPIPE_NETWORKS = ("resnet50", "inception")
+MADPIPE_PROCS = (4, 8)
+MADPIPE_MEMORIES_GB = (8.0, 10.0, 12.0, 14.0, 16.0)
+MADPIPE_BANDWIDTH_GBPS = 12.0
+MADPIPE_ILP_TIME_LIMIT = 600.0
 
 
 def ilp_instances(
@@ -178,8 +197,86 @@ def run_onef1b_bench(
     return [bench_onef1b_instance(mem, **kwargs) for mem in memories]
 
 
+@contextmanager
+def _timed_milp(uncut: bool):
+    """Time every MILP period search ``madpipe`` runs inside the block;
+    ``uncut`` also drops its ``cutoff``, restoring the full search."""
+    module = importlib.import_module("repro.algorithms.madpipe")
+    search = module.schedule_allocation
+    busy = [0.0]
+
+    def timed(*args, **kwargs):
+        if uncut:
+            kwargs.pop("cutoff", None)
+        t0 = time.perf_counter()
+        try:
+            return search(*args, **kwargs)
+        finally:
+            busy[0] += time.perf_counter() - t0
+
+    module.schedule_allocation = timed
+    try:
+        yield busy
+    finally:
+        module.schedule_allocation = search
+
+
+def bench_madpipe_instance(
+    network: str, n_procs: int, memory_gb: float, *, cut_first: bool = False
+) -> dict:
+    """Plan one instance cut and uncut; the plans must be identical."""
+    chain = paper_chain(network)
+    platform = Platform.of(n_procs, memory_gb, MADPIPE_BANDWIDTH_GBPS)
+    runs = {}
+    for side in ("cut", "uncut") if cut_first else ("uncut", "cut"):
+        with _timed_milp(uncut=side == "uncut") as busy:
+            t0 = time.perf_counter()
+            res = api.plan(
+                chain, platform, grid=Discretization.coarse(),
+                ilp_time_limit=MADPIPE_ILP_TIME_LIMIT,
+            )
+            runs[side] = (res, time.perf_counter() - t0, busy[0])
+    (cut, cut_s, cut_milp), (uncut, uncut_s, uncut_milp) = runs["cut"], runs["uncut"]
+    payload = json.dumps(cut.to_json(), sort_keys=True)
+    assert payload == json.dumps(uncut.to_json(), sort_keys=True), (
+        f"plan changed by the cutoff on {network} P{n_procs} {memory_gb:g} GB"
+    )
+    ilp = cut.raw.ilp
+    return {
+        "network": network,
+        "n_procs": n_procs,
+        "memory_gb": memory_gb,
+        "bandwidth_gbps": MADPIPE_BANDWIDTH_GBPS,
+        "ilp_status": None if ilp is None else ilp.status,
+        "uncut_ilp_status": None if uncut.raw.ilp is None else uncut.raw.ilp.status,
+        "milp_probes": 0 if ilp is None else ilp.timings["milp_probes"],
+        "uncut_milp_probes": (
+            0 if uncut.raw.ilp is None else uncut.raw.ilp.timings["milp_probes"]
+        ),
+        "period": cut.period,
+        "fast_s": cut_s,
+        "reference_s": uncut_s,
+        "speedup": uncut_s / cut_s if cut_s > 0 else float("inf"),
+        "milp_s": cut_milp,
+        "uncut_milp_s": uncut_milp,
+    }
+
+
+def run_madpipe_bench(
+    networks: tuple[str, ...] = MADPIPE_NETWORKS,
+    procs: tuple[int, ...] = MADPIPE_PROCS,
+    memories: tuple[float, ...] = MADPIPE_MEMORIES_GB,
+) -> list[dict]:
+    grid = [(net, P, mem) for net in networks for P in procs for mem in memories]
+    # alternate which side runs first, so drift and cache warm-up favor neither
+    return [
+        bench_madpipe_instance(*inst, cut_first=i % 2 == 1)
+        for i, inst in enumerate(grid)
+    ]
+
+
 def run_bench(*, smoke: bool = False) -> dict:
-    """Both suites; ``smoke`` shrinks each to a single quick instance."""
+    """All three suites; ``smoke`` shrinks each to a single quick instance."""
     if smoke:
         ilp = [
             bench_ilp_instance(*inst)
@@ -188,10 +285,12 @@ def run_bench(*, smoke: bool = False) -> dict:
             )
         ]
         onef1b = [bench_onef1b_instance(3.0, L=10)]
+        madpipe = run_madpipe_bench(networks=("inception",), procs=(4,), memories=(8.0,))
     else:
         ilp = run_ilp_bench()
         onef1b = run_onef1b_bench()
-    return {"ilp": ilp, "onef1b": onef1b}
+        madpipe = run_madpipe_bench()
+    return {"ilp": ilp, "onef1b": onef1b, "madpipe": madpipe}
 
 
 def _aggregate(records: list[dict]) -> float:
@@ -234,6 +333,26 @@ def render(result: dict) -> str:
         lines.append(
             f"aggregate onef1b speedup: {_aggregate(result['onef1b']):.2f}x"
         )
+    lines.append("")
+    lines.append("madpipe: cold api.plan, MILP cutoff vs uncut search (identical plans)")
+    lines.append(
+        f"{'instance':>32} {'cut (s)':>9} {'uncut (s)':>9} {'MILP cut':>9} "
+        f"{'uncut':>7} {'probes':>7} {'status':>9}"
+    )
+    for r in result["madpipe"]:
+        name = f"{r['network']} P{r['n_procs']}/m{r['memory_gb']:g}"
+        lines.append(
+            f"{name:>32} {r['fast_s']:9.3f} {r['reference_s']:9.3f} "
+            f"{r['milp_s']:9.3f} {r['uncut_milp_s']:7.3f} "
+            f"{r['milp_probes']:3d}/{r['uncut_milp_probes']:<3d} {r['ilp_status'] or '-':>9}"
+        )
+    if result["madpipe"]:
+        milp = sum(r["milp_s"] for r in result["madpipe"])
+        uncut = sum(r["uncut_milp_s"] for r in result["madpipe"])
+        lines.append(
+            f"aggregate madpipe speedup: {_aggregate(result['madpipe']):.2f}x wall, "
+            f"{uncut / milp if milp > 0 else float('inf'):.2f}x MILP busy"
+        )
     return "\n".join(lines)
 
 
@@ -246,5 +365,8 @@ def test_phase2_hotpath_smoke():
     assert result["onef1b"][0]["speedup"] > 1.0
     for r in result["ilp"]:
         assert r["fast_probes"] <= r["reference_probes"]
+    # the smoke instance's contiguous candidate wins: the cutoff ends the
+    # MILP search (plan identity is asserted inside the bench)
+    assert [r["ilp_status"] for r in result["madpipe"]] == ["cutoff"]
     print()
     print(render(result))

@@ -11,7 +11,8 @@ change.
   (vectorized MadPipe-DP vs the naive recursion);
 * ``--suite phase2`` → ``BENCH_phase2.json`` via
   ``benchmarks/bench_phase2_hotpath.py`` (ILP period search and the
-  1F1B\\* kernel vs their references);
+  1F1B\\* kernel vs their references, and cold ``madpipe`` plans with
+  and without the MILP cutoff);
 * ``--suite obs`` → ``BENCH_obs.json`` via
   ``benchmarks/bench_obs_overhead.py`` (instrumentation cost of the
   observability layer in disabled/metrics/traced modes);
@@ -119,7 +120,7 @@ def run_phase2(smoke: bool, out_dir: Path) -> None:
     out = out_dir / "BENCH_phase2.json"
     out.write_text(json.dumps(_payload(smoke, result), indent=1) + "\n")
     print(bench_phase2_hotpath.render(result))
-    for name in ("ilp", "onef1b"):
+    for name in ("ilp", "onef1b", "madpipe"):
         print(f"{name}: ", end="")
         _summarize(result[name])
     print(f"wrote {out}\n")

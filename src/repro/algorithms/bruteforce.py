@@ -96,7 +96,10 @@ def best_special(
     optimum: different special subsets can produce the *same* ``procs``
     layout (only the first is evaluated), and every contiguous variant of
     one partitioning has the same 1F1B\\* optimal period (solved once and
-    memoized).  See :class:`BruteForceResult` for the counter semantics.
+    memoized).  Each MILP search gets the running best period as its
+    ``cutoff``, so a search that cannot beat it stops early; the optimum
+    is unchanged because only a strictly lower period replaces the best.
+    See :class:`BruteForceResult` for the counter semantics.
     """
     if chain.L > max_layers:
         raise ValueError(
@@ -137,7 +140,8 @@ def best_special(
                 else:
                     best.solver_calls += 1
                     ilp = schedule_allocation(
-                        chain, platform, alloc, time_limit=ilp_time_limit
+                        chain, platform, alloc, time_limit=ilp_time_limit,
+                        cutoff=best.period,
                     )
                     period = ilp.period
                 if period < best.period:

@@ -19,12 +19,17 @@ schedules in the same family repairs both: rung 1 is the allocation's
 own contiguous restriction (when it has at most one stage per GPU), the
 ILP-timeout fallback; rung 2 is the contiguous-restriction DP
 (MadPipe-DP without the special processor: every state has ``t_P =
-m_P = 0``, so the DP packs keys over ``(l, p, V)`` only; about 11% of
-a tight-memory plan's time), run at most once per call.  Rung 2 is also
-a candidate, returned when it beats the phase-1 schedule
-(``contiguous_fallback=False`` gives the strict phase-1+ILP behaviour),
-and a pattern that fails the certification gate is replaced by the
-first rung whose own pattern certifies.
+m_P = 0``, so the DP packs keys over ``(l, p, V)`` only), run at most
+once per call.  Rung 2 is also a candidate, returned when it beats the
+phase-1 schedule (``contiguous_fallback=False`` gives the strict
+phase-1+ILP behaviour), and a pattern that fails the certification gate
+is replaced by the first rung whose own pattern certifies.
+
+On a non-contiguous allocation the candidate is scheduled *before* the
+MILP and its period is the MILP search's ``cutoff``: once the MILP
+certifies that no pattern reaches it, the candidate wins whatever the
+rest of the search would find, so the search stops there.  The plan is
+the one the uncut search would give; ties still go to the MILP.
 """
 
 from __future__ import annotations
@@ -159,17 +164,25 @@ def madpipe(
                 else:
                     result.notes.append(f"{ladder.name} infeasible for phase-1 allocation")
             else:
+                # rung 2 first: its period is the MILP search's cutoff
+                candidate = ladder.candidate if contiguous_fallback and allow_special else None
                 with obs.span("madpipe.phase2", kind="ilp"):
                     ilp = schedule_allocation(
                         chain, platform, allocation,
                         time_limit=ilp_time_limit,
                         memory_headroom=memory_headroom,
                         schedule_family=schedule_family,
+                        cutoff=INF if candidate is None else candidate.period,
                     )
                 result.ilp = ilp
                 if ilp.feasible:
                     _adopt(result, allocation, ilp,
                            "phase-1 non-contiguous allocation via ILP")
+                elif ilp.status == "cutoff":
+                    result.notes.append(
+                        "ILP certified no pattern at or below the contiguous "
+                        "candidate's period"
+                    )
                 else:
                     result.notes.append(
                         f"ILP could not schedule phase-1 allocation ({ilp.status})"
@@ -193,10 +206,9 @@ def madpipe(
             # rung 2 as a candidate: the DP's memory model is exact for the
             # contiguous construction, so this estimate is reliable; keep
             # it when it beats the phase-1 schedule
-            part = ladder.contiguous_dp
-            sched = ladder.schedule(part, "candidate") if part is not None else None
+            sched = ladder.candidate
             if sched is not None and sched.period < result.period:
-                _adopt(result, Allocation.contiguous(part), sched,
+                _adopt(result, Allocation.contiguous(ladder.contiguous_dp), sched,
                        "contiguous memory-aware candidate won")
 
         # classify the outcome: any phase-2 budget hit taints the result
@@ -277,6 +289,13 @@ class _Ladder:
         if contig.feasible:
             return contig.allocation.to_allocation(self.platform).partitioning
         return None
+
+    @cached_property
+    def candidate(self):
+        """Rung 2's schedule, the contiguous candidate (``None`` when the
+        DP or the schedule is infeasible)."""
+        part = self.contiguous_dp
+        return self.schedule(part, "candidate") if part is not None else None
 
     def rungs(self, allocation: Allocation | None):
         """The distinct fallback partitionings for ``allocation``, in

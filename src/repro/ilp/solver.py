@@ -21,17 +21,24 @@ are fixed, memory rows do not involve ``T``) — which the search exploits:
   re-optimizes ``(t, T)`` jointly — the certified minimum period of that
   configuration, which typically collapses the bracket in one step;
 * the remaining gap is certified with asymmetric probes just below the
-  incumbent (falling back to bisection when they keep succeeding).
+  incumbent (falling back to bisection when they keep succeeding);
+* a caller that already holds a plan at period ``C`` passes it as
+  ``cutoff``: after the lower-bound probe, one feasibility MILP at ``C``
+  decides whether the search can matter.  Certified infeasible means
+  every MILP pattern is slower than ``C`` (monotonicity), so the search
+  stops with status ``cutoff`` and no pattern; any other outcome is
+  discarded and the search runs exactly as it would without a cutoff.
+  A cutoff below the lower bound solves no MILP at all.
 
 Every probe and LP jump is recorded as a :class:`ProbeRecord` with
 build/solve timings and a ``status`` naming how it ended (``ok``,
 ``incumbent``, ``timeout``, ``infeasible``, ``invalid``, ``error``);
 ``repro schedule --stats`` surfaces the totals.  The search result
-itself carries a status: ``ok`` / ``infeasible`` are *certified*
-outcomes, while ``degraded`` (feasible, but a probe hit the HiGHS time
-limit, so the period may be improvable) and ``timeout`` (no schedule
-found, but infeasibility is **not** proven) record that the solver
-budget, not the mathematics, decided — callers such as
+itself carries a status: ``ok`` / ``infeasible`` / ``cutoff`` are
+*certified* outcomes, while ``degraded`` (feasible, but a probe hit the
+HiGHS time limit, so the period may be improvable) and ``timeout`` (no
+schedule found, but infeasibility is **not** proven) record that the
+solver budget, not the mathematics, decided — callers such as
 :func:`repro.algorithms.madpipe.madpipe` use this to fall back to a
 certified contiguous schedule instead of silently reporting infeasible.
 The pre-skeleton bisection search is preserved verbatim in
@@ -87,7 +94,9 @@ class ProbeRecord:
     feasible: bool
     build_s: float
     solve_s: float
-    kind: str = "milp"  # "milp" feasibility probe | "lp" fixed-config jump
+    #: "milp" search probe | "lp" fixed-config jump | "cutoff" the one
+    #: probe at the caller's cutoff, which never steers the search
+    kind: str = "milp"
     status: str = "ok"
 
 
@@ -99,7 +108,9 @@ class ILPScheduleResult:
     (valid schedule, but at least one probe hit the time limit — the
     period may be improvable), ``timeout`` (no schedule and at least one
     probe hit the time limit — infeasibility unproven), ``infeasible``
-    (certified: no probe up to the sequential bound admits a pattern).
+    (certified: no probe up to the sequential bound admits a pattern),
+    ``cutoff`` (certified: no pattern at or below the caller's cutoff, so
+    the search stopped without one).
     """
 
     period: float
@@ -110,7 +121,7 @@ class ILPScheduleResult:
     @property
     def probes(self) -> list[tuple[float, bool]]:
         """(T, feasible) pairs of the MILP probes, in search order."""
-        return [(p.period, p.feasible) for p in self.trace if p.kind == "milp"]
+        return [(p.period, p.feasible) for p in self.trace if p.kind != "lp"]
 
     @property
     def feasible(self) -> bool:
@@ -119,7 +130,7 @@ class ILPScheduleResult:
     @property
     def timings(self) -> dict[str, float | int]:
         """Aggregate diagnostics: probe counts and build/solve seconds."""
-        milp_probes = [p for p in self.trace if p.kind == "milp"]
+        milp_probes = [p for p in self.trace if p.kind != "lp"]
         jumps = [p for p in self.trace if p.kind == "lp"]
         return {
             "milp_probes": len(milp_probes),
@@ -342,6 +353,7 @@ def schedule_allocation(
     reuse_skeleton: bool = True,
     memory_headroom: float = 0.0,
     schedule_family: str = "1f1b",
+    cutoff: float = INF,
 ) -> ILPScheduleResult:
     """Smallest-period valid pattern for ``allocation``.
 
@@ -354,16 +366,21 @@ def schedule_allocation(
     requested per-GPU margin.  ``schedule_family="zero_bubble"``
     formulates split-backward (F/B/W) models instead; the bracketing
     hint then comes from the zero-bubble contiguous construction.
+    ``cutoff`` is the period of a plan the caller already holds and
+    keeps on ties: once no MILP pattern can reach it, the search ends
+    with status ``cutoff`` (see the module docstring).
 
     Instrumented: the whole search runs under an ``ilp.search`` span,
     each MILP probe/LP jump emits its own span with build/solve
     attributes, and the probe totals land on the metrics registry
-    (``ilp.milp_probes``, ``ilp.build_s``, …) when one is active.
+    (``ilp.milp_probes``, ``ilp.build_s``, …; ``ilp.cutoffs`` counts the
+    searches the cutoff ended) when one is active.
     """
     with obs.span(
         "ilp.search",
         n_stages=allocation.n_stages,
         contiguous=allocation.is_contiguous(),
+        cutoff=cutoff if cutoff != INF else None,
     ) as search_span:
         res = _schedule_allocation(
             chain,
@@ -375,9 +392,12 @@ def schedule_allocation(
             reuse_skeleton,
             memory_headroom,
             schedule_family,
+            cutoff,
             search_span,
         )
     obs.inc("ilp.searches")
+    if res.status == "cutoff":
+        obs.inc("ilp.cutoffs")
     t = res.timings
     obs.inc("ilp.milp_probes", t["milp_probes"])
     obs.inc("ilp.milp_timeouts", t["milp_timeouts"])
@@ -399,6 +419,7 @@ def _schedule_allocation(
     reuse_skeleton: bool,
     memory_headroom: float,
     schedule_family: str,
+    cutoff: float,
     search_span,
 ) -> ILPScheduleResult:
     """The uninstrumented period search; see :func:`schedule_allocation`."""
@@ -406,15 +427,18 @@ def _schedule_allocation(
     seq = _sequential_period(chain, platform, allocation)
     trace: list[ProbeRecord] = []
 
-    def result(period: float, pattern: PeriodicPattern | None) -> ILPScheduleResult:
+    def result(
+        period: float, pattern: PeriodicPattern | None, status: str | None = None
+    ) -> ILPScheduleResult:
         # any time-limit hit means the outcome is budget-, not
         # mathematics-limited: feasible → "degraded", infeasible →
         # "timeout" (never a silent "infeasible")
-        timed_out = any(p.kind == "milp" and p.status == "timeout" for p in trace)
-        if pattern is not None:
-            status = "degraded" if timed_out else "ok"
-        else:
-            status = "timeout" if timed_out else "infeasible"
+        if status is None:
+            timed_out = any(p.kind == "milp" and p.status == "timeout" for p in trace)
+            if pattern is not None:
+                status = "degraded" if timed_out else "ok"
+            else:
+                status = "timeout" if timed_out else "infeasible"
         res = ILPScheduleResult(period, pattern, trace, status)
         search_span.set(
             status=status,
@@ -422,6 +446,10 @@ def _schedule_allocation(
             milp_probes=res.timings["milp_probes"],
         )
         return res
+
+    if cutoff < lower:
+        # every pattern's period is at least the bottleneck bound
+        return result(INF, None, "cutoff")
 
     # Warm-start database (see repro.warmstart): skeleton templates are
     # keyed *without* the memory capacity — only memory-row bounds
@@ -522,10 +550,10 @@ def _schedule_allocation(
             )
         )
 
-    def probe(T: float, *, jump: bool = True, feasibility_only: bool = True) -> bool:
-        if T in memo:
-            obs.inc("ilp.memo_hits")
-            return memo[T]
+    def solve(
+        T: float, kind: str, feasibility_only: bool = True
+    ) -> tuple[PeriodicPattern | None, np.ndarray | None, str]:
+        """One feasibility MILP at ``T``, recorded in ``trace``."""
         if warm is not None and warm.frontier_dominated(warm_key, T, capacity):
             # a neighbor certified (T', M') infeasible with T ≤ T' and
             # capacity ≤ M': this probe is infeasible by monotonicity —
@@ -539,14 +567,13 @@ def _schedule_allocation(
                     feasible=False,
                     build_s=0.0,
                     solve_s=0.0,
+                    kind=kind,
                     status="infeasible",
                 )
             )
-            memo[T] = False
-            state["lo"] = max(state["lo"], T)
-            return False
+            return None, None, "infeasible"
         with obs.span(
-            "ilp.probe", T=T, feasibility_only=feasibility_only
+            "ilp.probe", T=T, feasibility_only=feasibility_only, kind=kind
         ) as probe_span:
             t0 = time.perf_counter()
             model = build_milp(
@@ -559,22 +586,33 @@ def _schedule_allocation(
                 chain, platform, allocation, model, time_limit,
                 feasibility_only=feasibility_only,
             )
-            ok = pattern is not None
             build_s, solve_s = t1 - t0, time.perf_counter() - t1
             probe_span.set(
                 build_s=build_s, solve_s=solve_s,
-                status=probe_status, feasible=ok,
+                status=probe_status, feasible=pattern is not None,
             )
         trace.append(
             ProbeRecord(
                 period=T,
-                feasible=ok,
+                feasible=pattern is not None,
                 build_s=build_s,
                 solve_s=solve_s,
+                kind=kind,
                 status=probe_status,
             )
         )
-        memo[T] = ok
+        if warm is not None and probe_status == "infeasible":
+            # only HiGHS-certified infeasibility enters the frontier;
+            # "timeout"/"invalid"/"error" never transfer
+            warm.frontier_add(warm_key, T, capacity)
+        return pattern, x, probe_status
+
+    def probe(T: float, *, jump: bool = True, feasibility_only: bool = True) -> bool:
+        if T in memo:
+            obs.inc("ilp.memo_hits")
+            return memo[T]
+        pattern, x, _ = solve(T, "milp", feasibility_only)
+        ok = memo[T] = pattern is not None
         if ok:
             if T < state["hi"]:
                 state["hi"], state["pattern"] = T, pattern
@@ -582,17 +620,20 @@ def _schedule_allocation(
                 lp_jump(x)
         else:
             state["lo"] = max(state["lo"], T)
-            if warm is not None and probe_status == "infeasible":
-                # only HiGHS-certified infeasibility enters the frontier;
-                # "timeout"/"invalid"/"error" never transfer
-                warm.frontier_add(warm_key, T, capacity)
         return ok
 
     # 1. the lower bound itself (roomy instances end here)
     if probe(lower, jump=False, feasibility_only=False):
         return result(lower, state["pattern"])
 
-    # 2. bracket a feasible upper bound: a contiguous-construction hint
+    # 2. the cutoff: certified infeasible at T = cutoff means no pattern
+    #    reaches the caller's plan.  Any other outcome is thrown away —
+    #    it stays out of memo, state and the probe budget — so the search
+    #    below follows its uncut path exactly.
+    if lower < cutoff < INF and solve(cutoff, "cutoff")[2] == "infeasible":
+        return result(INF, None, "cutoff")
+
+    # 3. bracket a feasible upper bound: a contiguous-construction hint
     #    (1F1B* or zero-bubble, matching the family), then an accelerating
     #    gallop from the lower bound, capped by the sequential period
     ladder: list[float] = []
@@ -623,7 +664,7 @@ def _schedule_allocation(
     if state["pattern"] is None:  # probe budget exhausted while bracketing
         return result(INF, None)
 
-    # 3. certify the gap: asymmetric probes just under the incumbent close
+    # 4. certify the gap: asymmetric probes just under the incumbent close
     #    it in one infeasible probe; repeated feasible ones (the incumbent
     #    was far from optimal and the LP jump could not shrink it) fall
     #    back to plain bisection

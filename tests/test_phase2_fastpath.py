@@ -7,11 +7,15 @@ from-scratch probe trajectory exactly; and the fast period search must
 agree with the reference bisection to within the certification band.
 """
 
+import importlib
+import json
 import random
 
 import pytest
 
+from repro import api, obs
 from repro.algorithms.bruteforce import best_contiguous, best_special
+from repro.algorithms.madpipe_dp import Discretization
 from repro.algorithms.onef1b import (
     CANDIDATE_ATOL,
     GROUP_FIT_RTOL,
@@ -27,7 +31,10 @@ from repro.algorithms.onef1b_reference import (
 from repro.core import Allocation, Partitioning, Platform
 from repro.core.memory import stage_memory
 from repro.ilp import schedule_allocation, schedule_allocation_reference
+from repro.cli import main as cli_main
 from repro.models import random_chain, uniform_chain
+from repro.profiling import save_chain
+from repro.testing import Fault, faults
 
 MB = float(2**20)
 
@@ -166,7 +173,130 @@ class TestIlpFastPath:
         t = res.timings
         assert t["milp_probes"] == len(res.probes) > 0
         assert t["solve_s"] > 0.0
-        assert all(p.kind in ("milp", "lp") for p in res.trace)
+        assert all(p.kind in ("milp", "lp") for p in res.trace)  # no cutoff given
+
+
+def _sig(trace):
+    return [(p.period, p.feasible, p.kind, p.status) for p in trace]
+
+
+class TestIlpCutoff:
+    """``schedule_allocation(cutoff=C)``: certified infeasibility at ``C``
+    ends the search; any other outcome leaves the uncut search intact."""
+
+    @pytest.fixture
+    def tight(self):
+        # lower bound 12 is infeasible; the uncut search certifies 15 and
+        # 17.93 infeasible and settles at 18.02
+        chain = uniform_chain(8, u_f=1.0, u_b=2.0, weights=MB, activation=64 * MB)
+        alloc = Allocation(Partitioning.from_cuts(8, [2, 6]), (0, 1, 0))
+        plat = Platform.of(2, 0.75, 12)
+        return chain, plat, alloc, schedule_allocation(chain, plat, alloc)
+
+    def test_cutoff_below_lower_bound_solves_nothing(self, tight):
+        chain, plat, alloc, _ = tight
+        lower = alloc.period_lower_bound(chain, plat)
+        res = schedule_allocation(chain, plat, alloc, cutoff=lower * 0.99)
+        assert res.status == "cutoff" and not res.feasible
+        assert res.trace == [] and res.timings["milp_probes"] == 0
+
+    def test_infeasible_at_cutoff_stops_the_search(self, tight):
+        chain, plat, alloc, uncut = tight
+        assert uncut.status == "ok" and uncut.period > 16.0
+        tr, reg = obs.Trace(), obs.MetricsRegistry()
+        with obs.use_trace(tr), obs.use_metrics(reg):
+            res = schedule_allocation(chain, plat, alloc, cutoff=16.0)
+        assert res.status == "cutoff" and res.pattern is None
+        assert reg.snapshot()["ilp.cutoffs"] == 1
+        assert [s.attrs["cutoff"] for s in tr.find("ilp.search")] == [16.0]
+        cut = [p for p in res.trace if p.kind == "cutoff"]
+        assert [(p.period, p.feasible, p.status) for p in cut] == [(16.0, False, "infeasible")]
+        assert _sig(res.trace) == _sig(uncut.trace[:1]) + _sig(cut)
+        assert res.timings["milp_probes"] == 2  # lower bound + cutoff
+
+    def test_feasible_at_cutoff_leaves_the_search_unchanged(self, tight):
+        chain, plat, alloc, uncut = tight
+        res = schedule_allocation(chain, plat, alloc, cutoff=uncut.period)
+        assert [p.feasible for p in res.trace if p.kind == "cutoff"] == [True]
+        assert _sig(p for p in res.trace if p.kind != "cutoff") == _sig(uncut.trace)
+        assert (res.period, res.status) == (uncut.period, uncut.status)
+        assert res.timings["milp_probes"] == uncut.timings["milp_probes"] + 1
+
+    @pytest.mark.faultinject
+    def test_timeout_at_cutoff_runs_the_full_search(self, tight, tmp_path):
+        chain, plat, alloc, uncut = tight
+        faults.install(
+            [Fault(site="milp_solve", action="timeout", key="T=16", times=1)], tmp_path
+        )
+        try:
+            res = schedule_allocation(chain, plat, alloc, cutoff=16.0)
+        finally:
+            faults.clear()
+        assert [p.status for p in res.trace if p.kind == "cutoff"] == ["timeout"]
+        assert _sig(p for p in res.trace if p.kind != "cutoff") == _sig(uncut.trace)
+        # the discarded probe never taints the search status
+        assert (res.period, res.status) == (uncut.period, "ok")
+        assert res.timings["milp_timeouts"] == 1
+
+
+class TestMadPipeCutoffPlanIdentity:
+    """The MILP cutoff changes no plan: ``api.plan`` with ``madpipe``'s
+    cutoff dropped (the uncut search) serializes byte-identically."""
+
+    # (random_chain seed, memory GB) × family: non-contiguous phase-1
+    # allocations where the cutoff ends the MILP (below and above its
+    # lower bound) and where the MILP's plan wins
+    CASES = [(0, 1.5), (1, 0.6), (3, 1.0), (3, 1.5)]
+
+    def _plan(self, seed, mem, family):
+        res = api.plan(
+            random_chain(12, seed=seed, decay=0.2), Platform.of(4, mem, 12),
+            schedule_family=family, grid=Discretization.coarse(), iterations=6,
+            ilp_time_limit=15,
+        )
+        return res, json.dumps(res.to_json(), sort_keys=True)
+
+    def test_plans_identical_with_and_without_cutoff(self, monkeypatch):
+        cut = {
+            (seed, mem, fam): self._plan(seed, mem, fam)
+            for seed, mem in self.CASES for fam in ("1f1b", "zero_bubble")
+        }
+        module = importlib.import_module("repro.algorithms.madpipe")
+        search = module.schedule_allocation
+
+        def uncut_search(*args, cutoff=None, **kwargs):
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(module, "schedule_allocation", uncut_search)
+        outcomes = set()
+        for key, (res, payload) in cut.items():
+            ref, ref_payload = self._plan(*key)
+            assert payload == ref_payload, key
+            ilp = res.raw.ilp
+            assert ilp is not None and ref.raw.ilp is not None, key  # non-contiguous
+            if ilp.status == "cutoff":
+                assert ref.raw.ilp.status != "cutoff"
+                assert any("at or below the contiguous candidate" in n for n in res.raw.notes)
+                outcomes.add("cutoff_milp" if ilp.trace else "cutoff_bound")
+            if ilp.pattern is not None and res.raw.pattern is ilp.pattern:
+                outcomes.add("milp_won")
+        assert outcomes == {"cutoff_milp", "cutoff_bound", "milp_won"}
+
+
+def test_schedule_stats_reports_cutoff(tmp_path, capsys):
+    profile = tmp_path / "chain.json"
+    save_chain(random_chain(12, seed=3, decay=0.2), profile)
+    rc = cli_main(
+        [
+            "schedule", str(profile), "-p", "4", "-m", "1", "-b", "12",
+            "--grid", "coarse", "--iterations", "6", "--stats",
+        ]
+    )
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "search status: cutoff" in out and "result status: ok" in out
+    assert "at or below the contiguous candidate's period" in out
+    assert "could not schedule" not in out
 
 
 class TestBruteForceMemo:
